@@ -1,9 +1,15 @@
-"""Dense exact linear algebra over Q and Q(i).
+"""Exact linear algebra over Q and Q(i): matrices, row-sparse RREF, kernels.
 
 Everything is field-generic: entries only need +, -, *, / and truthiness,
 which both rational backends and GScalar provide.  Rank, kernel and the
 canonical reduced-row-echelon representative of a subspace are all exact;
 two subspaces are equal iff their canonical forms are identical data.
+
+Matrices are stored dense, but ``rref`` eliminates row-sparsely: a row is
+updated only where the normalized pivot row is nonzero.  Its results,
+including the type of every entry (rational or GScalar), are those of
+dense Gauss-Jordan elimination, because the type is printed: an entry
+becomes a GScalar exactly when the dense update a - f * b would make it one.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 from .scalars import GScalar, ZERO, ONE, is_rat
 
 
-def _zero_like(entries):
+def zero_like(entries):
+    """GScalar(0, 0) if any entry is a GScalar, else ZERO: the zero that a
+    product with these entries starts its sums from."""
     for row in entries:
         for x in row:
             if isinstance(x, GScalar):
@@ -28,9 +36,19 @@ def rref(rows, ncols):
 
     Returns (reduced_rows, pivot_columns) with zero rows dropped; pivots are
     normalized to 1 and cleared above and below.  Input rows are not mutated.
+
+    Elimination is row-sparse: a row is updated in place at the nonzero
+    entries of the normalized pivot row only.  Entry types follow the dense
+    update a - f * b over the whole row, which gives a GScalar exactly when
+    a, f or b is one (zero included).  So a row is lifted whole by
+    GScalar.of when f or every entry of the pivot row is Gaussian, and
+    otherwise only where the pivot row is Gaussian; a Gaussian inv lifts
+    the pivot row before it is normalized.  All-rational input is never
+    lifted, and a row known to be all-Gaussian is never lifted again.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
+    gauss = [False] * nrows  # True once a row holds GScalars only
     pivots = []
     r = 0
     for c in range(ncols):
@@ -42,12 +60,31 @@ def rref(rows, ncols):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = _one_of(m[r][c]) / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        gauss[r], gauss[pr] = gauss[pr], gauss[r]
+        prow = m[r]
+        inv = _one_of(prow[c]) / prow[c]
+        if isinstance(inv, GScalar) and not gauss[r]:
+            prow = [GScalar.of(x) for x in prow]
+        # a zero x stays as inv * x would leave it: GScalar(0, 0) or ZERO
+        prow = m[r] = [inv * x if x else x if isinstance(x, GScalar) else ZERO
+                       for x in prow]
+        nonzero = [(j, x) for j, x in enumerate(prow) if x]
+        gpos = [j for j, x in enumerate(prow) if isinstance(x, GScalar)]
+        gauss[r] = all_gauss = len(gpos) == len(prow)
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            if not gauss[i]:
+                if all_gauss or isinstance(f, GScalar):
+                    row[:] = [GScalar.of(x) for x in row]
+                    gauss[i] = True
+                else:
+                    for j in gpos:
+                        row[j] = GScalar.of(row[j])
+            for j, x in nonzero:
+                row[j] = row[j] - f * x
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -107,7 +144,7 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        z = _zero_like(self.entries) if self.entries else ZERO
+        z = zero_like(self.entries)
         out = []
         for i in range(self.nrows):
             row = []

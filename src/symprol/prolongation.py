@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .scalars import GScalar, ONE, ZERO, parse_scalar
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, zero_like
 from .weyl import (SymTensor, SymplecticSpace, dim_sym, monomial_basis,
                    poisson_bracket, quad_to_matrix, tensor_from_coords)
 
@@ -88,35 +88,53 @@ class ProlongationChain:
         return subspace_tensors(self.space, self.levels[k], k + 2)
 
 
-def _ad_matrix(space: SymplecticSpace, b: int, k: int) -> Matrix:
-    """Matrix of T -> [T, v_b] from S^k(V) to S^(k-1)(V)."""
-    src = monomial_basis(space.n, k)
-    v = space.basis_vector(b)
-    cols = []
-    for m in src:
-        t = SymTensor(space, {m: ONE})
-        cols.append(poisson_bracket(t, v).coords(k - 1))
-    nrows = dim_sym(space.n, k - 1)
-    return Matrix([[cols[c][r] for c in range(len(src))] for r in range(nrows)])
-
-
 def prolong_step(space: SymplecticSpace, prev: Subspace, k: int) -> Subspace:
-    """h^(k) from h^(k-1): kernel of the stacked quotient conditions."""
+    """h^(k) from h^(k-1): kernel of the stacked quotient conditions.
+
+    The conditions for v_b are the rows of C @ ad(v_b), where C holds the
+    quotient conditions of h^(k-1) and ad(v_b) is T -> [T, v_b] from
+    S^(k+2)(V) to S^(k+1)(V).  Only the letter u with Omega(u, b) != 0
+    pairs with v_b, so a monomial m goes to
+
+        [m, v_b] = mult_u(m) * Omega(u, b) * (m without one u),
+
+    and column m of ad(v_b) has at most one nonzero.  Column m of C @ ad(v_b)
+    is therefore that scalar times column pos[m without u] of C, or zero when
+    u does not divide m.  As in the product, every entry is a GScalar when
+    any entry of C is.
+    """
+    src = monomial_basis(space.n, k + 2)
     cond = prev.quotient_conditions()
+    if not cond:
+        return Subspace.full(len(src))
+    pos = {m: i for i, m in enumerate(monomial_basis(space.n, k + 1))}
+    z = zero_like(cond)
+    if isinstance(z, GScalar):
+        cond = [[GScalar.of(x) for x in row] for row in cond]
     rows = []
     for b in range(space.dim):
-        A = _ad_matrix(space, b, k + 2)
-        if not cond:
-            continue
-        C = Matrix(cond)
-        rows.extend((C @ A).entries)
-    if not rows:
-        return Subspace.full(dim_sym(space.n, k + 2))
+        u = next(u for u in range(space.dim) if space.omega_idx(u, b))
+        om = space.omega_idx(u, b)
+        lookup = []
+        for j, m in enumerate(src):
+            mult = m.count(u)
+            if mult:
+                i = m.index(u)
+                lookup.append((j, pos[m[:i] + m[i + 1:]], om * mult))
+        for crow in cond:
+            row = [z] * len(src)
+            for j, p, s in lookup:
+                x = crow[p]
+                if x:
+                    row[j] = x * s
+            rows.append(row)
     return Matrix(rows).kernel()
 
 
 def prolong_chain(h: LinearSubalgebra, kmax: int = 4) -> ProlongationChain:
     """Prolongation chain of a bracket-closed h, exact at every level."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     bad = h.check_closure()
     if bad is not None:
         a, b, br = bad

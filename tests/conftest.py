@@ -31,3 +31,10 @@ def random_tensor(rng, space, degree, terms=3, gaussian=False):
         if c:
             coeffs[m] = coeffs.get(m, rat(0)) + c
     return SymTensor(space, {m: c for m, c in coeffs.items() if c})
+
+
+def assert_same_typed_rows(got, want):
+    """Rows equal entry by entry, each entry of the same type (the printer
+    shows rationals and GScalars differently)."""
+    assert list(got) == list(want)
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]

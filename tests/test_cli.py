@@ -74,6 +74,16 @@ def test_prolong_and_finite_type(tmp_path, capsys):
     assert code == 2
 
 
+def test_prolong_negative_kmax(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("q1*p1\n")
+    code, out, err = run_cli(["prolong", "--gens", str(gens), "--kmax", "-3"], capsys)
+    assert code == 2
+    assert "dims=" not in out
+    assert err.startswith("error: ") and "kmax" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_realize_commands(capsys):
     code, out, _ = run_cli(["realize", "thmK1", "--base", "sphere", "--k", "2"], capsys)
     assert code == 0

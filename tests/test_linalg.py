@@ -3,9 +3,9 @@ import random
 import pytest
 
 from symprol.linalg import Matrix, Subspace, grassmann_check, rref
-from symprol.scalars import GScalar, rat
+from symprol.scalars import GScalar, ONE, rat
 
-from conftest import random_rat
+from conftest import assert_same_typed_rows, random_rat
 
 
 def test_rank_identity_and_zero():
@@ -95,3 +95,70 @@ def test_solve():
     assert m.apply(x) == (rat(5), rat(11))
     inconsistent = Matrix([[rat(1), rat(1)], [rat(2), rat(2)]])
     assert inconsistent.solve([rat(0), rat(1)]) is None
+
+
+def dense_rref(rows, ncols):
+    """Reference: Gauss-Jordan updating every entry of every row."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = (GScalar(1, 0) if isinstance(m[r][c], GScalar) else ONE) / m[r][c]
+        m[r] = [inv * x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return [tuple(row) for row in m[:r]], pivots
+
+
+def _random_entry(rng, kinds):
+    kind = rng.choice(kinds)
+    if kind == "zero":
+        return rat(0)
+    if kind == "gzero":
+        return GScalar(0, 0)
+    if kind == "int":
+        return rng.randint(-2, 2)
+    if kind == "rat":
+        return random_rat(rng, span=3)
+    if kind == "real":
+        return GScalar(random_rat(rng, span=3), 0)
+    return GScalar(random_rat(rng, span=3), random_rat(rng, span=3))
+
+
+def _random_rows(rng, kinds):
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+    rows = [[_random_entry(rng, kinds) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        # a dependent row, so that some rows reduce to zero
+        f = _random_entry(rng, kinds)
+        rows[-1] = [a + f * b for a, b in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+@pytest.mark.parametrize("kinds", [
+    ("zero", "gzero", "int", "rat", "real", "gauss"),
+    ("zero", "zero", "rat", "gauss"),
+    ("gzero", "real", "gauss"),
+    ("zero", "rat"),
+])
+def test_rref_matches_dense_reference(kinds):
+    rng = random.Random(len(kinds))
+    for _ in range(600):
+        rows, ncols = _random_rows(rng, kinds)
+        snapshot = [list(r) for r in rows]
+        red, pivots = rref(rows, ncols)
+        want_red, want_pivots = dense_rref(rows, ncols)
+        assert pivots == want_pivots
+        assert_same_typed_rows(red, want_red)
+        assert rows == snapshot

@@ -2,12 +2,18 @@ import random
 
 import pytest
 
-from symprol.scalars import rat
-from symprol.weyl import SymTensor, dim_sym, monomial_basis, quad_to_matrix
+import sympy
+
+from symprol.linalg import Matrix, Subspace
+from symprol.scalars import GScalar, ONE, rat
+from symprol.weyl import (SymTensor, SymplecticSpace, dim_sym, monomial_basis, omega,
+                          parse_tensor, poisson_bracket, quad_to_matrix)
 from symprol.prolongation import (FINITE, INFINITE, LinearSubalgebra,
                                   parabolic_prolong_closed_form, prolong_chain,
-                                  finite_type_verdict, rank_one_witness,
+                                  prolong_step, finite_type_verdict, rank_one_witness,
                                   span_of_tensors, is_subalgebra)
+
+from conftest import assert_same_typed_rows, random_rat
 
 
 def full_sp(V):
@@ -188,3 +194,108 @@ def test_witness_grid_override(V, t, monkeypatch):
                                t("p2*q1 - p1*q2"), t("q1^2 - q2^2"), t("q1*q2")], "s4")
     v = finite_type_verdict(sub)
     assert v.kind == INFINITE
+
+
+def _ad_matrix(space, b, k):
+    """Reference: matrix of T -> [T, v_b] from S^k(V) to S^(k-1)(V), column
+    by column from the Poisson bracket."""
+    src = monomial_basis(space.n, k)
+    v = space.basis_vector(b)
+    cols = [poisson_bracket(SymTensor(space, {m: ONE}), v).coords(k - 1) for m in src]
+    nrows = dim_sym(space.n, k - 1)
+    return Matrix([[cols[c][r] for c in range(len(src))] for r in range(nrows)])
+
+
+def _bracket_conditions(space, prev, k):
+    """Reference: the stacked rows of C @ ad(v_b) for the quotient conditions
+    C of prev.  Each sum runs over the nonzero entries of a column of
+    ad(v_b) and starts from the zero of C's type, as Matrix.__matmul__ does."""
+    cond = prev.quotient_conditions()
+    if not cond:
+        return []
+    z = GScalar(0, 0) if any(isinstance(x, GScalar) for row in cond for x in row) else rat(0)
+    rows = []
+    for b in range(space.dim):
+        A = _ad_matrix(space, b, k + 2)
+        cols = [[(r, A[r, j]) for r in range(A.nrows) if A[r, j]] for j in range(A.ncols)]
+        for c in cond:
+            rows.append([sum((c[r] * a for r, a in col if c[r]), z) for col in cols])
+    return rows
+
+
+def _reference_step(space, prev, k):
+    rows = _bracket_conditions(space, prev, k)
+    if not rows:
+        return Subspace.full(dim_sym(space.n, k + 2))
+    return Matrix(rows).kernel()
+
+
+def _transvect(rng, space, tensors, gaussian):
+    """Images of the tensors under a random symplectic transvection
+    x -> x + c Omega(v, x) v, which maps subalgebras to subalgebras."""
+    def scalar():
+        x = random_rat(rng, span=3) or rat(1)
+        return GScalar(x, random_rat(rng, span=2)) if gaussian else x
+
+    v = SymTensor(space, {(i,): scalar() for i in rng.sample(range(space.dim), 2)})
+    c = scalar()
+    img = [space.basis_vector(i) + v.scale(c * omega(v, space.basis_vector(i)))
+           for i in range(space.dim)]
+    out = []
+    for t in tensors:
+        y = SymTensor(space, {})
+        for m, coeff in t.coeffs.items():
+            prod = img[m[0]].scale(coeff)
+            for i in m[1:]:
+                prod = prod * img[i]
+            y = y + prod
+        out.append(y)
+    return out
+
+
+SUBALGEBRAS = {
+    2: [["q1*p1", "q1*p2", "q2*p1", "q2*p2", "p1^2", "p1*p2", "p2^2"],
+        ["p2^2", "p2*q2", "q2^2", "p1*q1", "p1*p2", "p1*q2", "p1^2"],
+        ["p1^2", "p1*q1", "q1^2", "p2^2", "p2*q2", "q2^2"],
+        ["p1^2", "p1*p2", "p2^2"], ["p1^2", "p1*q1"], ["p1^2 + q1^2"],
+        ["p1*q1", "p2*q2"], ["p1^2 + p2^2"]],
+    3: [["p1^2", "p1*p2", "p2^2"], ["p1^2 + q1^2", "p2^2 + q2^2", "p3^2 + q3^2"],
+        ["p1*q1", "p1^2", "p3^2"]],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_prolong_step_matches_bracket_kernel(n):
+    space = SymplecticSpace(n)
+    rng = random.Random(n)
+    for case, gens in enumerate(SUBALGEBRAS[n]):
+        tensors = [parse_tensor(space, g) for g in gens]
+        for _ in range(rng.randint(1, 2)):
+            tensors = _transvect(rng, space, tensors, gaussian=case % 2 == 1)
+        # a Gaussian multiple of one generator mixes rational and Gaussian rows
+        i = rng.randrange(len(tensors))
+        tensors[i] = tensors[i].scale(rng.choice([GScalar(0, 1), GScalar(1, 1), rat(2)]))
+        h = LinearSubalgebra(space, tensors)
+        assert h.check_closure() is None
+        level = h.subspace
+        for k in range(1, 4):
+            nxt = prolong_step(space, level, k)
+            want = _reference_step(space, level, k)
+            assert nxt.pivots == want.pivots
+            assert_same_typed_rows(nxt.basis, want.basis)
+            level = nxt
+
+
+def test_prolong_step_dimension_matches_sympy_nullspace(V, t):
+    h = LinearSubalgebra(V, [t("p2^2"), t("p2*q2"), t("q2^2"), t("p1*q1"),
+                             t("p1*p2"), t("p1*q2"), t("p1^2")], "p2")
+    level1 = prolong_step(V, h.subspace, 1)
+    rows = _bracket_conditions(V, level1, 2)
+    nullity = len(sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                for row in rows]).nullspace())
+    assert prolong_step(V, level1, 2).dim == nullity == 16
+
+
+def test_negative_kmax_rejected(V, t):
+    with pytest.raises(ValueError, match="kmax"):
+        prolong_chain(LinearSubalgebra(V, [t("q1*p1")]), kmax=-3)
