@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from symprol.cli import main
+from symprol.cli import CE_CASES, main
+from symprol.fedosov import corpus, format_algebra
 from symprol.prolongation import LinearSubalgebra, prolong_chain
 from symprol.weyl import SymplecticSpace, parse_tensor
 
@@ -57,7 +58,31 @@ CASES = {
     "prolong_gaussian_line_kmax3.out":
         lambda: _cli("prolong", "--gens", "gaussian_line.gens", "--kmax", "3"),
     "prolong_sp6_lagrangian_kmax3.out": lambda: _sp6_lagrangian_parabolic(3),
+    "catalog_list.out": lambda: _cli("catalog", "list"),
+    "catalog_verify.out": lambda: _cli("catalog", "verify"),
+    "ce_h1_list.out": lambda: _cli("ce-h1", "--list"),
 }
+for _base in ("hyperbolic", "sphere", "sl2aff", "euclid"):
+    CASES[f"realize_thmK1_{_base}_k2.out"] = (
+        lambda b=_base: _cli("realize", "thmK1", "--base", b, "--k", "2"))
+CASES["realize_thmK1_sl2aff_k2_N1.out"] = (
+    lambda: _cli("realize", "thmK1", "--base", "sl2aff", "--k", "2", "--N", "1"))
+CASES["realize_thmK1_hyperbolic_k3.out"] = (
+    lambda: _cli("realize", "thmK1", "--base", "hyperbolic", "--k", "3"))
+for _base in ("sl2aff2", "gl2aff2"):
+    CASES[f"realize_thmK2_{_base}_k2.out"] = (
+        lambda b=_base: _cli("realize", "thmK2", "--base", b, "--k", "2"))
+for _base in ("conf", "euc"):
+    CASES[f"realize_thmK2_{_base}_W11_W1m1.out"] = (
+        lambda b=_base: _cli("realize", "thmK2", "--base", b, "--xi", "W(1,1)+W(1,-1)"))
+for _case in CE_CASES:
+    CASES[f"ce_h1_{_case}.out"] = lambda c=_case: _cli("ce-h1", "--case", c)
+# the built-in symplectic Lie algebras are written as algebra files, so
+# `symprol fedosov` reads them the way it reads a user's file
+for _name, _g in corpus().items():
+    CASES[f"{_name}.alg"] = lambda g=_g: format_algebra(g)
+    CASES[f"fedosov_{_name}_full.out"] = (
+        lambda a=f"{_name}.alg": _cli("fedosov", "--algebra", a, "--report", "full"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
