@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .scalars import ONE, ZERO, fmt_rat, rat
+from .scalars import ONE, ZERO, as_rat, fmt_rat, rat
 from .linalg import Matrix, Subspace
 from .weyl import (SymplecticSpace, SymTensor, monomial_basis, parse_tensor,
                    poisson_bracket, tensor_from_coords)
@@ -84,9 +84,9 @@ class Param:
 
 SIGN = Param("eps", "sign", "eps = +-1", defaults=(1, -1))
 SIGN0 = Param("eps", "sign0", "eps = 0 or +-1", defaults=(0, 1, -1))
-A_NONZERO = Param("a", "rational", "a != 0", check=lambda v: bool(rat(v) if isinstance(v, int) else v), defaults=(1, 2))
-A_POSITIVE = Param("a", "rational", "a > 0", check=lambda v: (rat(v) if isinstance(v, int) else v) > 0, defaults=(1, 2))
-LAM_NONZERO = Param("lam", "rational", "lam != 0", check=lambda v: bool(rat(v) if isinstance(v, int) else v), defaults=(1, 2))
+A_NONZERO = Param("a", "rational", "a != 0", check=lambda v: bool(as_rat(v)), defaults=(1, 2))
+A_POSITIVE = Param("a", "rational", "a > 0", check=lambda v: as_rat(v) > 0, defaults=(1, 2))
+LAM_NONZERO = Param("lam", "rational", "lam != 0", check=lambda v: bool(as_rat(v)), defaults=(1, 2))
 
 
 @dataclass
@@ -127,12 +127,11 @@ class CatalogEntry:
 def _fmt_param(v):
     if isinstance(v, str):
         return v
-    return fmt_rat(rat(v)) if isinstance(v, int) else fmt_rat(v)
+    return fmt_rat(as_rat(v))
 
 
 def _eps_tensor(base: SymTensor, eps, extra: SymTensor) -> SymTensor:
-    e = rat(eps) if isinstance(eps, int) else eps
-    return base + extra.scale(e)
+    return base + extra.scale(as_rat(eps))
 
 
 _REGISTRY: dict = {}
@@ -249,22 +248,12 @@ _entry("sl2diag-tw", "diagonal sl2(R) twisted by Ad of diag(1,-1)",
 
 # -- finite type subalgebras of p1: similitude table rows --------------------
 
-def _lin(*pairs):
-    """Linear combination of the named Lorentz basis constants."""
-    out = SymTensor(SP4, {})
-    for c, x in pairs:
-        out = out + x.scale(rat(c) if isinstance(c, int) else c)
-    return out
-
-
 def _eps(p):
-    v = p["eps"]
-    return rat(v) if isinstance(v, int) else v
+    return as_rat(p["eps"])
 
 
 def _a(p):
-    v = p["a"]
-    return rat(v) if isinstance(v, int) else v
+    return as_rat(p["a"])
 
 
 _entry("F6_5", "similitude table row F_{6,5}", lambda p: [E2], dim=1, finite=True, h1=0)
@@ -369,7 +358,7 @@ _entry("split-line", "splitting subalgebra R p1p2",
 
 # codimension-one extensions of finite type ideals inside p2
 _entry("p2x-lam", "span(p1p2, p1q1 + lam p2q2), lam != 0",
-       lambda p: [t("p1*p2"), t("p1*q1") + t("p2*q2").scale(rat(p["lam"]) if isinstance(p["lam"], int) else p["lam"])],
+       lambda p: [t("p1*p2"), t("p1*q1") + t("p2*q2").scale(as_rat(p["lam"]))],
        params=(LAM_NONZERO,), dim=2, finite=True, h1=0)
 _entry("p2x-eps", "span(p1p2, p1q1 + eps p2^2)",
        lambda p: [t("p1*p2"), _eps_tensor(t("p1*q1"), p["eps"], t("p2^2"))],
@@ -480,9 +469,7 @@ def _check_ideal(big: Subspace, small: Subspace):
 
 def _quotient_coords(sub: Subspace, ideal: Subspace, x: SymTensor, lifts):
     """Coordinates of x mod ideal in the basis of classes of the lifts."""
-    cols = [list(l.coords(2)) for l in lifts]
-    cols += [list(v) for v in ideal.basis]
-    M = Matrix([[cols[c][r] for c in range(len(cols))] for r in range(len(x.coords(2)))])
+    M = Matrix.from_columns([l.coords(2) for l in lifts] + list(ideal.basis))
     sol = M.solve(list(x.coords(2)))
     if sol is None:
         raise ValueError("element not in the subalgebra plus ideal")

@@ -182,21 +182,14 @@ def cmd_fedosov(args) -> int:
         print(line)
     if args.report == "full":
         p = fed.lsa_from_symplectic(g)
-        for i in range(g.n):
-            for j in range(g.n):
-                prod = p.prod_basis(i, j)
-                if any(prod):
-                    terms = " + ".join(f"{fmt_scalar(c)} * e{k+1}"
-                                       for k, c in enumerate(prod) if c)
-                    print(f"product e{i+1} e{j+1} = {terms}")
         ct = fed.connection(p)
-        for i in range(g.n):
-            for j in range(g.n):
-                nab = ct.table[(i, j)]
-                if any(nab):
-                    terms = " + ".join(f"{fmt_scalar(c)} * e{k+1}"
-                                       for k, c in enumerate(nab) if c)
-                    print(f"nabla e{i+1} e{j+1} = {terms}")
+        for label, table in (("product", p.table), ("nabla", ct.table)):
+            for i in range(g.n):
+                for j in range(g.n):
+                    if any(table[(i, j)]):
+                        terms = " + ".join(f"{fmt_scalar(c)} * e{k+1}"
+                                           for k, c in enumerate(table[(i, j)]) if c)
+                        print(f"{label} e{i+1} e{j+1} = {terms}")
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 R = fed.curvature_direct(ct, g.basis_vector(i), g.basis_vector(j))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .scalars import ZERO, ONE, fmt_scalar, parse_scalar, rat
-from .linalg import Matrix
+from .linalg import Matrix, basis_vector
 from .structure import LieTable
 
 
@@ -49,9 +49,7 @@ class SymplecticLieAlgebra:
         return self.table.n
 
     def basis_vector(self, i: int):
-        v = [ZERO] * self.n
-        v[i] = ONE
-        return tuple(v)
+        return basis_vector(self.n, i)
 
     def omega_of(self, x, y):
         s = ZERO
@@ -62,6 +60,21 @@ class SymplecticLieAlgebra:
                 if b and self.omega[i, j]:
                     s = s + a * b * self.omega[i, j]
         return s
+
+
+def _contract(table: dict, n: int, x, y):
+    """sum_(i,j) x_i y_j table[(i, j)] for a dense (i, j) -> n-tuple table."""
+    out = [ZERO] * n
+    for i, a in enumerate(x):
+        if not a:
+            continue
+        for j, b in enumerate(y):
+            if not b:
+                continue
+            for k, c in enumerate(table[(i, j)]):
+                if c:
+                    out[k] = out[k] + a * b * c
+    return tuple(out)
 
 
 @dataclass
@@ -111,25 +124,15 @@ class LSAProduct:
         return self.table[(i, j)]
 
     def prod(self, x, y):
-        out = [ZERO] * self.g.n
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in enumerate(self.table[(i, j)]):
-                    if c:
-                        out[k] = out[k] + a * b * c
-        return tuple(out)
+        return _contract(self.table, self.g.n, x, y)
 
     def left_mult(self, x) -> Matrix:
-        cols = [self.prod(x, self.g.basis_vector(j)) for j in range(self.g.n)]
-        return Matrix([[cols[j][i] for j in range(self.g.n)] for i in range(self.g.n)])
+        return Matrix.from_columns([self.prod(x, self.g.basis_vector(j))
+                                    for j in range(self.g.n)])
 
     def right_mult(self, x) -> Matrix:
-        cols = [self.prod(self.g.basis_vector(j), x) for j in range(self.g.n)]
-        return Matrix([[cols[j][i] for j in range(self.g.n)] for i in range(self.g.n)])
+        return Matrix.from_columns([self.prod(self.g.basis_vector(j), x)
+                                    for j in range(self.g.n)])
 
 
 def lsa_from_symplectic(g: SymplecticLieAlgebra) -> LSAProduct:
@@ -195,32 +198,17 @@ class ConnectionTable:
                 self.table[(i, j)] = tuple(two3 * a - one3 * b for a, b in zip(xy, yx))
 
     def nabla(self, x, y):
-        out = [ZERO] * self.g.n
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in enumerate(self.table[(i, j)]):
-                    if c:
-                        out[k] = out[k] + a * b * c
-        return tuple(out)
-
-    def nabla_matrix(self, x) -> Matrix:
-        n = self.g.n
-        cols = [self.nabla(x, self.g.basis_vector(j)) for j in range(n)]
-        return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        return _contract(self.table, self.g.n, x, y)
 
 
 def connection(p: LSAProduct) -> ConnectionTable:
-    """Build nabla both ways and insist the two derivations agree.
+    """Build nabla by the direct formula nabla_x y = (2/3) xy - (1/3) yx and
+    check the correction term it rests on.
 
-    The direct formula is nabla_x y = (2/3) xy - (1/3) yx; the correction
-    path computes N by omega(N(x,y),z) = -omega(xy,z) - omega(y,xz) and sets
-    nabla = nabla^o + (1/3)N(x,y) + (1/3)N(y,x) with nabla^o = the product.
-    For the left-invariant product N(x,y) = -yx, so the two agree; both are
-    evaluated exactly and compared anyway."""
+    The correction path computes N by omega(N(x,y),z) = -omega(xy,z) -
+    omega(y,xz) and sets nabla = nabla^o + (1/3)N(x,y) + (1/3)N(y,x) with
+    nabla^o = the product.  That equals the direct formula exactly when
+    N(x,y) = -yx, which is solved for against omega and compared."""
     ct = ConnectionTable(p)
     g = p.g
     n = g.n
@@ -237,16 +225,6 @@ def connection(p: LSAProduct) -> ConnectionTable:
             minus_yx = tuple(-c for c in p.prod(basis[j], basis[i]))
             if tuple(Nij) != minus_yx:
                 raise AssertionError("N(x,y) != -yx; omega data inconsistent")
-    for i in range(n):
-        for j in range(n):
-            xy = p.prod_basis(i, j)
-            yx = p.prod_basis(j, i)
-            third = rat(1, 3)
-            alt = tuple(a - third * b - third * c
-                        for a, b, c in zip(xy, yx, xy))
-            # nabla^o + (1/3)(-yx) + (1/3)(-xy) = xy - (1/3)yx - (1/3)xy
-            if alt != ct.table[(i, j)]:
-                raise AssertionError("correction path disagrees with the direct formula")
     return ct
 
 
@@ -275,15 +253,14 @@ def check_connection(ct: ConnectionTable) -> Verdict:
 def curvature_direct(ct: ConnectionTable, x, y) -> Matrix:
     """R(x,y) z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z."""
     g = ct.g
-    n = g.n
     cols = []
-    for k in range(n):
+    for k in range(g.n):
         z = g.basis_vector(k)
         a = ct.nabla(x, ct.nabla(y, z))
         b = ct.nabla(y, ct.nabla(x, z))
         c = ct.nabla(g.table.bracket_coords(x, y), z)
         cols.append(tuple(p - q - r for p, q, r in zip(a, b, c)))
-    return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    return Matrix.from_columns(cols)
 
 
 def curvature_closed(p: LSAProduct, x, y) -> Matrix:
@@ -313,20 +290,18 @@ def ricci_closed(p: LSAProduct) -> Matrix:
 
 
 def ricci_trace_of_curvature(ct: ConnectionTable) -> Matrix:
-    """ric(x,y) = tr( z -> R(x,z) y )."""
+    """ric(x,y) = tr( z -> R(x,z) y ), so ric(e_i, e_j) is the sum over k of
+    R(e_i, e_k)[k, j]; each R(e_i, e_k) is built once."""
     g = ct.g
     n = g.n
     basis = [g.basis_vector(i) for i in range(n)]
-    out = []
+    out = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
-            s = ZERO
-            for k in range(n):
-                R = curvature_direct(ct, basis[i], basis[k])
-                s = s + R.apply(basis[j])[k]
-            row.append(s)
-        out.append(row)
+        for k in range(n):
+            R = curvature_direct(ct, basis[i], basis[k])
+            for j in range(n):
+                if R[k, j]:
+                    out[i][j] = out[i][j] + R[k, j]
     return Matrix(out)
 
 
@@ -368,18 +343,18 @@ def trace_identities(p: LSAProduct) -> Verdict:
     return Verdict(not failures, failures)
 
 
+def _trace_form(mats) -> Matrix:
+    """tr(A_i A_j) for the matrices A_i of the basis elements."""
+    return Matrix([[(a @ b).trace() for b in mats] for a in mats])
+
+
 def left_trace_form(p: LSAProduct) -> Matrix:
     """kappa(x, y) = tr(L_x L_y)."""
-    g = p.g
-    n = g.n
-    L = [p.left_mult(g.basis_vector(i)) for i in range(n)]
-    return Matrix([[(L[i] @ L[j]).trace() for j in range(n)] for i in range(n)])
+    return _trace_form([p.left_mult(p.g.basis_vector(i)) for i in range(p.g.n)])
 
 
 def killing_form(g: SymplecticLieAlgebra) -> Matrix:
-    n = g.n
-    ads = [g.table.ad_matrix(g.basis_vector(i)) for i in range(n)]
-    return Matrix([[(ads[i] @ ads[j]).trace() for j in range(n)] for i in range(n)])
+    return _trace_form([g.table.ad_matrix(g.basis_vector(i)) for i in range(g.n)])
 
 
 @dataclass
@@ -478,8 +453,7 @@ def nomizu_solutions(h_action, m_bracket_m, h_structure=None, equivariant=True,
         if h_structure is None:
             raise ValueError("equivariance needs the structure constants of h")
         for b in range(dim_h):
-            eb = [ZERO] * dim_h
-            eb[b] = ONE
+            eb = basis_vector(dim_h, b)
             for i in range(dim_m):
                 # L(A_b x_i) = [h_b, L(x_i)]
                 for a_out in range(dim_h):
@@ -488,9 +462,7 @@ def nomizu_solutions(h_action, m_bracket_m, h_structure=None, equivariant=True,
                         if h_action[b][jj, i]:
                             row[unk(a_out, jj)] = row[unk(a_out, jj)] + h_action[b][jj, i]
                     for a in range(dim_h):
-                        ea = [ZERO] * dim_h
-                        ea[a] = ONE
-                        br = h_structure.bracket_coords(eb, ea)
+                        br = h_structure.bracket_coords(eb, basis_vector(dim_h, a))
                         if br[a_out]:
                             row[unk(a, i)] = row[unk(a, i)] - br[a_out]
                     rows.append(row)
@@ -571,7 +543,7 @@ def cp2_symmetric_data():
             if any(s[:4]):
                 raise AssertionError("[h, m] leaves m")
             cols.append(realify(s[4:]))
-        h_act.append(Matrix([[cols[j][i] for j in range(4)] for i in range(4)]))
+        h_act.append(Matrix.from_columns(cols))
     mbm = {}
     for i in range(4):
         for j in range(i + 1, 4):
@@ -603,30 +575,40 @@ def parse_algebra(text: str, name: str = "") -> SymplecticLieAlgebra:
         omega(1,3) = 1
         omega(2,4) = -1/2
 
-    Indices are 1-based; omitted brackets and omega entries are zero, and
-    omega is filled antisymmetrically."""
+    The dim line comes first.  Indices are 1-based and checked against
+    1..dim; omitted brackets and omega entries are zero, and omega is filled
+    antisymmetrically."""
     n = None
     brackets = {}
     omega_entries = {}
+
+    def index(txt):
+        if n is None:
+            raise ValueError(f"line {lineno}: dim must come first")
+        k = int(txt)
+        if not 1 <= k <= n:
+            raise ValueError(f"line {lineno}: index {k} is outside 1..{n}")
+        return k - 1
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("dim"):
-            n = int(line.split()[1])
+            n = int(line[len("dim"):])
+            if n < 1:
+                raise ValueError(f"line {lineno}: dim must be positive")
             continue
         if line.startswith("omega"):
             head, _, val = line.partition("=")
             ij = head[head.index("(") + 1:head.index(")")]
-            i, j = (int(s) - 1 for s in ij.split(","))
+            i, j = (index(s) for s in ij.split(","))
             omega_entries[(i, j)] = parse_scalar(val)
             continue
         if line.startswith("["):
             head, _, val = line.partition("=")
             ij = head.strip()[1:-1]
-            i, j = (int(s) - 1 for s in ij.split(","))
-            if n is None:
-                raise ValueError("dim must come first")
+            i, j = (index(s) for s in ij.split(","))
             row = {}
             for term in val.split("+"):
                 term = term.strip()
@@ -640,7 +622,7 @@ def parse_algebra(text: str, name: str = "") -> SymplecticLieAlgebra:
                 e_txt = e_txt.strip()
                 if not e_txt.startswith("e"):
                     raise ValueError(f"line {lineno}: expected basis label e<k>")
-                k = int(e_txt[1:]) - 1
+                k = index(e_txt[1:])
                 row[k] = row.get(k, ZERO) + c
             if i > j:
                 i, j = j, i

@@ -27,6 +27,13 @@ def zero_like(entries):
     return ZERO
 
 
+def basis_vector(n, i):
+    """The i-th standard basis vector of K^n, as a tuple."""
+    v = [ZERO] * n
+    v[i] = ONE
+    return tuple(v)
+
+
 def _one_of(x):
     return GScalar(1, 0) if isinstance(x, GScalar) else ONE
 
@@ -115,7 +122,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([basis_vector(n, i) for i in range(n)])
+
+    @classmethod
+    def from_columns(cls, cols):
+        """The matrix whose j-th column is cols[j]."""
+        return cls(zip(*cols), ncols=len(cols))
 
     def __getitem__(self, ij):
         i, j = ij

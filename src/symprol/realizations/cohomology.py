@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..scalars import ZERO, ONE
-from ..linalg import Matrix, Subspace
+from ..scalars import ZERO
+from ..linalg import Matrix, Subspace, basis_vector
 from ..structure import LieTable
 from ..weyl import SymTensor, poisson_bracket
 from ..prolongation import LinearSubalgebra, span_of_tensors
@@ -38,11 +38,7 @@ def _check_representation(table: LieTable, action):
     n = table.n
     for i in range(n):
         for j in range(i + 1, n):
-            ei = [ZERO] * n
-            ei[i] = ONE
-            ej = [ZERO] * n
-            ej[j] = ONE
-            br = table.bracket_coords(ei, ej)
+            br = table.bracket_coords(basis_vector(n, i), basis_vector(n, j))
             rho_br = None
             for k, c in enumerate(br):
                 if not c:
@@ -71,11 +67,7 @@ def ce_h1(table: LieTable, action) -> H1Result:
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            ei = [ZERO] * n
-            ei[i] = ONE
-            ej = [ZERO] * n
-            ej[j] = ONE
-            br = table.bracket_coords(ei, ej)
+            br = table.bracket_coords(basis_vector(n, i), basis_vector(n, j))
             for r in range(mdim):
                 row = [ZERO] * (n * mdim)
                 # c([x_i, x_j])
@@ -90,8 +82,7 @@ def ce_h1(table: LieTable, action) -> H1Result:
     z1 = Matrix(rows, ncols=n * mdim).kernel() if rows else Subspace.full(n * mdim)
     b1_vecs = []
     for s in range(mdim):
-        v = [ZERO] * mdim
-        v[s] = ONE
+        v = basis_vector(mdim, s)
         vec = []
         for i in range(n):
             vec.extend(action[i].apply(v))
@@ -115,9 +106,7 @@ def bracket_action_matrices(h_tensors, module_tensors):
     Requires the module span to be ad(h)-invariant."""
     deg = module_tensors[0].degree
     sub = span_of_tensors(module_tensors, degree=deg)
-    cols_basis = [list(t.coords(deg)) for t in module_tensors]
-    B = Matrix([[cols_basis[c][r] for c in range(len(module_tensors))]
-                for r in range(len(cols_basis[0]))])
+    B = Matrix.from_columns([t.coords(deg) for t in module_tensors])
     mats = []
     for x in h_tensors:
         cols = []
@@ -127,8 +116,7 @@ def bracket_action_matrices(h_tensors, module_tensors):
             if vec not in sub:
                 raise ValueError(f"module is not invariant: [{x}, {t}] leaves the span")
             cols.append(B.solve(list(vec)))
-        mats.append(Matrix([[cols[c][r] for c in range(len(cols))]
-                            for r in range(len(module_tensors))]))
+        mats.append(Matrix.from_columns(cols))
     return mats
 
 
@@ -163,8 +151,7 @@ def nonsplit_check(h_tensors, c_images, psi_images) -> NonsplitReport:
     closed = alg.check_closure() is None
 
     hspan = span_of_tensors(h_tensors, degree=2)
-    B = Matrix([[list(t.coords(2))[r] for t in h_tensors]
-                for r in range(len(h_tensors[0].coords(2)))])
+    B = Matrix.from_columns([t.coords(2) for t in h_tensors])
 
     def on_bracket(x, y, images):
         br = poisson_bracket(x, y)

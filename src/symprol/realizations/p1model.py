@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from math import comb
 
-from ..scalars import ONE, ZERO, rat
-from ..linalg import Matrix, Subspace
+from ..scalars import ZERO, rat
+from ..linalg import Matrix, Subspace, basis_vector
 from ..structure import tabulate
 from .series import DEFAULT_TRUNC, PlaneVF, TruncSeries, poly2
 from .plane import (conf_fields, euc_alpha_fields, euler_field, gl2aff_fields,
-                    rotation_field, sl2aff_fields)
-from .p2model import ModelReport, _model_filtration
+                    order_filtration, rotation_field, sl2aff_fields)
+from .p2model import ModelReport
 
 K2_BASES = ("sl2aff2", "gl2aff2", "conf", "euc")
 
@@ -268,8 +268,8 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
     lin_rows = [[f.coeffs.get(e, ZERO) for f in xi] for e in ((1, 0), (0, 1))]
     xi_high = len(xi) - Matrix(lin_rows, ncols=len(xi)).rank()
     deg2 = Subspace.from_vectors(
-        [[ONE if key == e else ZERO for key in keys]
-         for e in ((2, 0), (1, 1), (0, 2))], len(keys))
+        [basis_vector(len(keys), keys.index(e)) for e in ((2, 0), (1, 1), (0, 2))],
+        len(keys))
     xi_two = xi_span.intersect(deg2).dim
     expected_stab = ktilde + xi_high
     expected_iso = ktilde + xi_two
@@ -277,7 +277,7 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
     n = len(elements)
     ev_rows = [[k2_evaluation(e)[r] for e in elements] for r in range(4)]
     maxdeg = max((f.degree() for f in xi), default=2)
-    transitive, stability, ik, dims = _model_filtration(
+    transitive, stability, ik, dims = order_filtration(
         elements, table, ev_rows, k2_component, maxdeg)
     return ModelReport(name, table, elements, n, len(fields) + len(xi), jac is None,
                        transitive, stability.dim, expected_stab,

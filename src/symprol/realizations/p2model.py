@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..scalars import ZERO
-from ..linalg import Matrix
 from ..structure import LieTable, tabulate
 from .series import DEFAULT_TRUNC, PlaneVF, TruncSeries, area_pairing, poly1
-from .plane import PRIMITIVE_SYMPLECTIC, isotropy_kernel
+from .plane import PRIMITIVE_SYMPLECTIC, order_filtration
 
 
 class P2Element:
@@ -237,25 +236,6 @@ class ModelReport:
         return lines
 
 
-def _model_filtration(elements, table, ev_rows, comp_fn, max_degree):
-    n = len(elements)
-    ev = Matrix(ev_rows, ncols=n)
-    transitive = ev.rank() == len(ev_rows)
-    stability = ev.kernel()
-    rows = list(ev_rows)
-    dims = [stability.dim]
-    for d in range(0, max_degree + 1):
-        comps = [comp_fn(elements[c], d) for c in range(n)]
-        keys = sorted({k for p in comps for k in p})
-        rows.extend([[comps[c].get(k, ZERO) for c in range(n)] for k in keys])
-        cur = Matrix(rows, ncols=n).kernel()
-        dims.append(cur.dim)
-        if cur.dim == 0:
-            break
-    ik = isotropy_kernel(table, stability)
-    return transitive, stability, ik, dims
-
-
 def build_thmK1(base: str, k: int, N: int = 0, trunc=None) -> ModelReport:
     """Transitive, transversally primitive algebra over a primitive plane base.
 
@@ -316,7 +296,7 @@ def build_thmK1(base: str, k: int, N: int = 0, trunc=None) -> ModelReport:
 
     ev_rows = [[evaluation_vector(e)[r] for e in elements] for r in range(4)]
     max_deg = max(k, 2 * N + 1, 3)
-    transitive, stability, ik, dims = _model_filtration(
+    transitive, stability, ik, dims = order_filtration(
         elements, table, ev_rows, element_component, max_deg)
     return ModelReport(f"thmK1-{base}-k{k}" + (f"-N{N}" if not simple else ""),
                        table, elements, dim, expected_dim, jac is None, transitive,

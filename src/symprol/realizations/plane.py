@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..scalars import ZERO, ONE, rat
-from ..linalg import Matrix, Subspace
+from ..scalars import ZERO, as_rat
+from ..linalg import Matrix, Subspace, basis_vector
 from ..structure import LieTable, tabulate
 from .series import DEFAULT_TRUNC, PlaneVF
 
@@ -91,7 +91,7 @@ def conf_fields(trunc=DEFAULT_TRUNC):
 
 def euc_alpha_fields(alpha, trunc=DEFAULT_TRUNC):
     """euc_alpha(R^2) = span(d/dx, d/dy, alpha E - J), alpha >= 0."""
-    a = rat(alpha) if isinstance(alpha, int) else alpha
+    a = as_rat(alpha)
     if a < 0:
         raise ValueError("alpha must be >= 0")
     Ja = euler_field(trunc).scale(a) - rotation_field(trunc)
@@ -135,33 +135,46 @@ def plane_table(fields, labels=None) -> LieTable:
     return tabulate(fields, lambda a, b: a.bracket(b), lambda v: v.to_dict(), labels)
 
 
+def order_filtration(elements, table: LieTable, ev_rows, component, max_degree):
+    """Transitivity, stability, isotropy kernel and the dimensions of the
+    order filtration g_(-1) = stability, g_0, g_1, ... of span(elements).
+
+    ev_rows are the coordinates of the values at the origin (one row per
+    coordinate, one column per element); component(e, d) is the sparse
+    {key: coeff} degree-d part of e.  g_d is the subspace on which every
+    component of degree <= d vanishes; the loop stops at dimension 0.
+    """
+    n = len(elements)
+    ev = Matrix(ev_rows, ncols=n)
+    transitive = ev.rank() == len(ev_rows)
+    stability = ev.kernel()
+    rows = list(ev_rows)
+    dims = [stability.dim]
+    for d in range(max_degree + 1):
+        if not dims[-1]:
+            break
+        comps = [component(e, d) for e in elements]
+        keys = sorted({k for p in comps for k in p})
+        rows.extend([[comps[c].get(k, ZERO) for c in range(n)] for k in keys])
+        dims.append(Matrix(rows, ncols=n).kernel().dim)
+    return transitive, stability, isotropy_kernel(table, stability), dims
+
+
 def order_filtration_plane(fields, labels=None) -> PlaneFiltration:
     """Filtration by vanishing order at the origin, transitivity and the
-    linear isotropy of span(fields)."""
+    linear isotropy of span(fields).  The homogeneous part of polynomial
+    degree r of a field is its component of degree r - 1."""
     table = plane_table(fields, labels)
-    n = len(fields)
-    ev = Matrix([[fields[c].value_at_origin()[r] for c in range(n)] for r in range(2)],
-                ncols=n)
-    transitive = ev.rank() == 2
-    stability = ev.kernel()
+    ev_rows = [[f.value_at_origin()[r] for f in fields] for r in range(2)]
     maxdeg = max((f.degree() for f in fields), default=0)
-    dims = []
-    rows = []
-    for d in range(maxdeg + 1):
-        # g_d = fields whose coefficients vanish to order > d at the origin
-        parts = [fields[c].homogeneous_part(d).to_dict() for c in range(n)]
-        keys = sorted({k for p in parts for k in p})
-        rows.extend([[parts[c].get(k, ZERO) for c in range(n)] for k in keys])
-        cur = Matrix(rows, ncols=n).kernel() if rows else Subspace.full(n)
-        dims.append(cur.dim)
-        if cur.dim == 0:
-            break
-    iso_kernel = _isotropy_kernel(table, stability)
+    transitive, stability, iso_kernel, dims = order_filtration(
+        fields, table, ev_rows, lambda f, d: f.homogeneous_part(d + 1).to_dict(),
+        maxdeg - 1)
     return PlaneFiltration(table, list(fields), transitive, stability,
                            stability.dim - iso_kernel.dim, iso_kernel.dim, dims)
 
 
-def _isotropy_kernel(table: LieTable, stability: Subspace) -> Subspace:
+def isotropy_kernel(table: LieTable, stability: Subspace) -> Subspace:
     """{x in stability : [x, g] is contained in stability}, the kernel of the
     isotropy representation on g / stability."""
     n = table.n
@@ -171,17 +184,9 @@ def _isotropy_kernel(table: LieTable, stability: Subspace) -> Subspace:
     C = Matrix(cond)
     rows = []
     for j in range(n):
-        e = [ZERO] * n
-        e[j] = ONE
+        e = basis_vector(n, j)
         # map x -> C [x, e_j], linear in x
-        cols = []
-        for i in range(n):
-            xi = [ZERO] * n
-            xi[i] = ONE
-            cols.append(C.apply(table.bracket_coords(xi, e)))
-        rows.extend([[cols[i][r] for i in range(n)] for r in range(len(cond))])
+        cols = [C.apply(table.bracket_coords(basis_vector(n, i), e)) for i in range(n)]
+        rows.extend(Matrix.from_columns(cols).entries)
     sol = Matrix(rows, ncols=n).kernel()
     return sol.intersect(stability)
-
-
-isotropy_kernel = _isotropy_kernel

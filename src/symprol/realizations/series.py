@@ -9,7 +9,7 @@ degree, which keeps every bracket and Jacobi check free of truncation error.
 
 from __future__ import annotations
 
-from ..scalars import ZERO, rat, fmt_scalar
+from ..scalars import ZERO, as_rat, fmt_scalar
 from ..linalg import Matrix
 
 DEFAULT_TRUNC = 16
@@ -40,7 +40,7 @@ class TruncSeries:
     @classmethod
     def one_var(cls, pairs, trunc=DEFAULT_TRUNC):
         """Series in y from {power: coeff} with int coefficients allowed."""
-        return cls(1, {(m,): rat(c) if isinstance(c, int) else c for m, c in pairs.items()}, trunc)
+        return cls(1, {(m,): as_rat(c) for m, c in pairs.items()}, trunc)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -138,8 +138,7 @@ def poly1(pairs, trunc=DEFAULT_TRUNC) -> TruncSeries:
 
 def poly2(pairs, trunc=DEFAULT_TRUNC) -> TruncSeries:
     """Two-variable polynomial from {(ex, ey): coeff}."""
-    return TruncSeries(2, {e: rat(c) if isinstance(c, int) else c for e, c in pairs.items()},
-                       trunc)
+    return TruncSeries(2, {e: as_rat(c) for e, c in pairs.items()}, trunc)
 
 
 class PlaneVF:

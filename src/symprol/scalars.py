@@ -70,6 +70,11 @@ def is_rat(x) -> bool:
     return isinstance(x, RAT_TYPES)
 
 
+def as_rat(x):
+    """A Python int as a backend rational; any other scalar unchanged."""
+    return rat(x) if isinstance(x, int) else x
+
+
 def fmt_rat(x) -> str:
     """Render a backend rational as "a/b" or "a"."""
     n, d = _num(x), _den(x)
@@ -81,7 +86,10 @@ def parse_rat(text: str):
     text = text.strip()
     if "/" in text:
         a, b = text.split("/")
-        return rat(int(a.strip()), int(b.strip()))
+        den = int(b.strip())
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return rat(int(a.strip()), den)
     return rat(int(text))
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .scalars import ZERO, ONE, fmt_scalar
-from .linalg import Matrix, Subspace
+from .scalars import ZERO, fmt_scalar
+from .linalg import Matrix, Subspace, basis_vector
 
 
 @dataclass
@@ -47,20 +47,12 @@ class LieTable:
 
     def ad_matrix(self, x) -> Matrix:
         """Matrix of ad(x) = [x, .] on coefficient vectors."""
-        cols = []
-        for j in range(self.n):
-            e = [ZERO] * self.n
-            e[j] = ONE
-            cols.append(self.bracket_coords(x, e))
-        return Matrix([[cols[j][i] for j in range(self.n)] for i in range(self.n)])
+        return Matrix.from_columns([self.bracket_coords(x, basis_vector(self.n, j))
+                                    for j in range(self.n)])
 
     def jacobi_violation(self):
         """First basis triple violating Jacobi, or None if it holds exactly."""
-        basis = []
-        for i in range(self.n):
-            e = [ZERO] * self.n
-            e[i] = ONE
-            basis.append(tuple(e))
+        basis = [basis_vector(self.n, i) for i in range(self.n)]
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 bij = self.bracket_coords(basis[i], basis[j])
@@ -84,28 +76,22 @@ class LieTable:
             return Subspace.zero(self.n)
         return Subspace.from_vectors(vecs, self.n)
 
-    def derived_series(self):
+    def _series(self, step):
+        """g, step(g), step(step(g)), ... until the dimension stops falling."""
         series = [Subspace.full(self.n)]
-        while True:
-            nxt = self._span_bracket(series[-1], series[-1])
+        while series[-1].dim:
+            nxt = step(series[-1])
             if nxt.dim == series[-1].dim:
                 break
             series.append(nxt)
-            if nxt.dim == 0:
-                break
         return series
+
+    def derived_series(self):
+        return self._series(lambda s: self._span_bracket(s, s))
 
     def lower_central_series(self):
         full = Subspace.full(self.n)
-        series = [full]
-        while True:
-            nxt = self._span_bracket(full, series[-1])
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.dim == 0:
-                break
-        return series
+        return self._series(lambda s: self._span_bracket(full, s))
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].dim == 0

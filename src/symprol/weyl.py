@@ -207,8 +207,8 @@ def quad_action(t: SymTensor, w: SymTensor) -> SymTensor:
 def quad_to_matrix(t: SymTensor) -> Matrix:
     """The endomorphism of V given by a degree-2 tensor, as a matrix."""
     sp = t.space
-    cols = [quad_action(t, sp.basis_vector(j)).coords(1) for j in range(sp.dim)]
-    return Matrix([[cols[j][i] for j in range(sp.dim)] for i in range(sp.dim)])
+    return Matrix.from_columns([quad_action(t, sp.basis_vector(j)).coords(1)
+                                for j in range(sp.dim)])
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +221,7 @@ def _quad_matrix_map(n: int):
         t = SymTensor(sp, {m: ONE})
         M = quad_to_matrix(t)
         cols.append([M[i, j] for i in range(sp.dim) for j in range(sp.dim)])
-    return Matrix([[cols[c][r] for c in range(len(basis))] for r in range(4 * n * n)])
+    return Matrix.from_columns(cols)
 
 
 def in_sp(space: SymplecticSpace, M: Matrix) -> bool:

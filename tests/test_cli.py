@@ -1,3 +1,5 @@
+import pytest
+
 from symprol.cli import main
 
 
@@ -82,6 +84,35 @@ def test_prolong_negative_kmax(tmp_path, capsys):
     assert "dims=" not in out
     assert err.startswith("error: ") and "kmax" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("prolong", "1/0 * p1^2\n", id="gens-zero-denominator"),
+    pytest.param("finite-type", "p1^2 + (1/0+i) * q1^2\n", id="gens-gaussian-zero-denominator"),
+    pytest.param("fedosov", "dim 2\n[1,2] = 1/0 * e2\nomega(1,2) = 1\n",
+                 id="algebra-zero-denominator"),
+    pytest.param("fedosov", "dim 2\n[1,2] = 1 * e3\nomega(1,2) = 1\n",
+                 id="basis-label-above-dim"),
+    pytest.param("fedosov", "dim 2\n[1,2] = 1 * e2\nomega(1,3) = 1\n",
+                 id="omega-index-above-dim"),
+    pytest.param("fedosov", "dim 2\n[0,2] = 1 * e2\nomega(1,2) = 1\n",
+                 id="bracket-index-zero"),
+    pytest.param("fedosov", "dim 2\n[1,2] = 1 * e0\nomega(1,2) = 1\n",
+                 id="basis-label-zero"),
+    pytest.param("fedosov", "dim\n[1,2] = 1 * e2\nomega(1,2) = 1\n", id="dim-without-value"),
+    pytest.param("fedosov", "dim 0\n", id="dim-zero"),
+])
+def test_malformed_input_exits_two(tmp_path, capsys, command, text):
+    # a zero denominator, an index outside 1..dim or a dim line without a
+    # positive value is bad input: never a traceback, never a silently
+    # different algebra
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--algebra" if command == "fedosov" else "--gens"
+    code, _, err = run_cli([command, flag, str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_realize_commands(capsys):

@@ -11,7 +11,8 @@ from symprol.realizations import (InvarianceError, P2Element, build_thmK1,
                                   conf_fields, node_eigen_checks, nonsplit_check,
                                   order_filtration_plane, p2_bracket,
                                   triangle_nodes, triangle_real_basis)
-from symprol.realizations.plane import PRIMITIVE_SYMPLECTIC, hyperbolic_fields, sphere_fields
+from symprol.realizations.plane import (PRIMITIVE_SYMPLECTIC, gl2aff_fields, hyperbolic_fields,
+                                        sphere_fields)
 from symprol.realizations.series import PlaneVF, TruncSeries, poly1, poly2, lie_derivative_of_area
 
 
@@ -81,9 +82,24 @@ def test_order_filtration_plane_examples():
     mats = filt.isotropy_matrices()
     assert Matrix([[rat(1), rat(0)], [rat(0), rat(1)]]) in mats      # E
     assert Matrix([[rat(0), rat(-1)], [rat(1), rat(0)]]) in mats     # J
+    assert filt.filtration_dims == [2, 0]
     filt2 = order_filtration_plane([PlaneVF.make({(0, 0): 1}, {}),
                                     PlaneVF.make({}, {(0, 0): 1})])
     assert filt2.transitive and filt2.stability.dim == 0
+    assert filt2.filtration_dims == [0]
+    aff = order_filtration_plane([PlaneVF.make({(0, 0): 1}, {}),
+                                  PlaneVF.make({(1, 0): 1}, {(0, 0): 1})])
+    assert aff.stability.dim == 0 and aff.filtration_dims == [0]
+    # projective sl3: gl2 + R^2 and the two quadratic fields x E, y E
+    proj = order_filtration_plane(gl2aff_fields() + [PlaneVF.make({(2, 0): 1}, {(1, 1): 1}),
+                                                     PlaneVF.make({(1, 1): 1}, {(0, 2): 1})])
+    assert proj.filtration_dims == [6, 2, 0]
+    assert (proj.isotropy_dim, proj.isotropy_kernel_dim) == (4, 2)
+    # d/dx, d/dy, x d/dy, x^2 d/dy: x^2 d/dy acts trivially on g / stability
+    jets = order_filtration_plane([PlaneVF.make({(0, 0): 1}, {}), PlaneVF.make({}, {(0, 0): 1}),
+                                   PlaneVF.make({}, {(1, 0): 1}), PlaneVF.make({}, {(2, 0): 1})])
+    assert jets.filtration_dims == [2, 1, 0]
+    assert (jets.isotropy_dim, jets.isotropy_kernel_dim) == (1, 1)
 
 
 # -- the semi-direct model over the line --------------------------------------
