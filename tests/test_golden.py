@@ -55,6 +55,10 @@ CASES = {
     "prolong_p2_kmax6.out": lambda: _cli("prolong", "--gens", "p2.gens", "--kmax", "6"),
     "prolong_mixed_kmax3.out": lambda: _cli("prolong", "--gens", "mixed.gens", "--kmax", "3"),
     "finite_type_mixed.out": lambda: _cli("finite-type", "--gens", "mixed.gens"),
+    # the witness comes from the pair loop over the grid
+    "finite_type_gridhit.out": lambda: _cli("finite-type", "--gens", "gridhit.gens"),
+    # the pair loop runs over the whole grid and finds nothing
+    "finite_type_torus.out": lambda: _cli("finite-type", "--gens", "torus.gens"),
     "prolong_gaussian_line_kmax3.out":
         lambda: _cli("prolong", "--gens", "gaussian_line.gens", "--kmax", "3"),
     "prolong_sp6_lagrangian_kmax3.out": lambda: _sp6_lagrangian_parabolic(3),
