@@ -25,7 +25,8 @@ import sys
 from . import catalog
 from .scalars import fmt_scalar, parse_scalar
 from .weyl import SymplecticSpace, parse_tensor, poisson_bracket
-from .prolongation import LinearSubalgebra, finite_type_verdict, prolong_chain
+from .prolongation import (LinearSubalgebra, finite_type_verdict, prolong_chain,
+                           witness_grid)
 from .structure import tabulate
 from .realizations import (InvarianceError, bracket_action_matrices, build_thmK1,
                            build_thmK2, ce_h1)
@@ -65,6 +66,7 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     # verify
     try:
+        witness_grid()
         if args.name:
             entry = catalog.get(args.name)
             sets = [_parse_params(args.params)] if args.params else entry.param_sets()
@@ -113,6 +115,7 @@ def cmd_prolong(args) -> int:
 def cmd_finite_type(args) -> int:
     _echo([("command", "finite-type"), ("gens", args.gens)])
     try:
+        witness_grid()
         space, gens = _load_gens(args.gens)
         h = LinearSubalgebra(space, gens)
         bad = h.check_closure()

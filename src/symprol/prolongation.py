@@ -191,19 +191,111 @@ DEFAULT_GRID = (GScalar(0), GScalar(1), GScalar(-1), GScalar(2), GScalar(-2),
 
 
 def witness_grid():
-    """Search grid for rank-one combinations; SYMPROL_WITNESS_GRID overrides."""
+    """Search grid for rank-one combinations; SYMPROL_WITNESS_GRID overrides.
+
+    Raises ValueError naming the variable and the first token that is not
+    a scalar literal.
+    """
     env = os.environ.get("SYMPROL_WITNESS_GRID")
     if not env:
         return DEFAULT_GRID
     vals = []
     for tok in env.split(","):
-        s = parse_scalar(tok.strip())
+        try:
+            s = parse_scalar(tok)
+        except ValueError:
+            raise ValueError(f"SYMPROL_WITNESS_GRID: {tok.strip()!r} is not a scalar") from None
         vals.append(GScalar.of(s))
     return tuple(vals)
 
 
 def tensor_rank(t: SymTensor) -> int:
     return quad_to_matrix(t).rank()
+
+
+# quad_to_matrix(t) = S * Omega, where S is the symmetric coefficient matrix
+# of t with its diagonal doubled.  Omega is invertible, so t has rank one
+# exactly when S != 0 and every 2x2 minor of S vanishes.  The helpers below
+# hold S sparsely, as a dict (row, col) -> nonzero entry.
+
+def _sym_matrix(t: SymTensor) -> dict:
+    """The symmetric coefficient matrix S of a degree-2 tensor."""
+    S = {}
+    for (r, c), x in t.coeffs.items():
+        if r == c:
+            S[r, r] = 2 * x
+        else:
+            S[r, c] = S[c, r] = x
+    return S
+
+
+def _nonzero_minor(S: dict):
+    """(r0, r, c0, c) with the minor of rows r0, r and columns c0, c of S
+    nonzero, or None when rank(S) <= 1.
+
+    With a pivot p = S[r0, c0] != 0, rank(S) <= 1 exactly when every minor
+    through row r0 and column c0 vanishes: S[r, c] p = S[r, c0] S[r0, c].
+    Outside the rows and columns S occupies both sides are zero.
+    """
+    if not S:
+        return None
+    (r0, c0), p = next(iter(S.items()))
+    rows = {r for r, _ in S}
+    cols = {c for _, c in S}
+    for r in rows:
+        u = S.get((r, c0))
+        for c in cols:
+            x = S.get((r, c))
+            v = S.get((r0, c))
+            if u is None or v is None:
+                if x is not None:
+                    return r0, r, c0, c
+            elif x is None or x * p != u * v:
+                return r0, r, c0, c
+    return None
+
+
+def _is_rank_one(S: dict) -> bool:
+    return bool(S) and _nonzero_minor(S) is None
+
+
+def _pencil(x, S: dict, y, T: dict) -> dict:
+    """x S + y T, zeros dropped."""
+    out = {}
+    for k in S.keys() | T.keys():
+        v = x * S.get(k, ZERO) + y * T.get(k, ZERO)
+        if v:
+            out[k] = v
+    return out
+
+
+def _rank_one_points(S: dict, T: dict):
+    """The points (x, y) of P^1 over Q(i) where x S + y T has rank one, or
+    None when every minor of x S + y T vanishes identically.
+
+    Each 2x2 minor of x S + y T is a binary quadratic A x^2 + B x y + C y^2.
+    One that is not identically zero is nonzero at one of the three points
+    S, T, S + T, so a nonzero minor there gives its rows and columns; every
+    rank-one point is one of its at most two roots.
+    """
+    minor = _nonzero_minor(S) or _nonzero_minor(T) or _nonzero_minor(_pencil(ONE, S, ONE, T))
+    if minor is None:
+        return None
+    r0, r, c0, c = minor
+    keys = ((r0, c0), (r, c), (r0, c), (r, c0))
+    s = [S.get(k, ZERO) for k in keys]
+    t = [T.get(k, ZERO) for k in keys]
+    A = s[0] * s[1] - s[2] * s[3]
+    C = t[0] * t[1] - t[2] * t[3]
+    B = s[0] * t[1] + t[0] * s[1] - s[2] * t[3] - t[2] * s[3]
+    if not A:
+        roots = [(ONE, ZERO)] + ([(-C, B)] if B else [])
+    else:
+        d = GScalar.of(B * B - 4 * A * C).sqrt()
+        if d is None:
+            return []
+        roots = [(-B + d, 2 * A)] + ([(-B - d, 2 * A)] if d else [])
+    return [(x, y) for x, y in roots if _is_rank_one(_pencil(x, S, y, T))]
 
 
 def _sp_disc(space: SymplecticSpace, t: SymTensor):
@@ -268,8 +360,9 @@ def rank_one_witness(space: SymplecticSpace, sub: Subspace, grid=None):
     rank one) and for subspaces of S^2(P), where the discriminant quadratic
     x2^2 = 4 x1 x3 is solved exactly over Q(i).  For anything else this is a
     bounded deterministic search: single basis elements, then pairwise
-    combinations with coefficients in the configurable grid; returning None
-    then certifies nothing.
+    combinations with coefficients in the configurable grid, skipping the
+    candidates whose 2x2 minors rule out rank one; returning None then
+    certifies nothing.
 
     Returns (tensor, certified_absent).  certified_absent is only meaningful
     when tensor is None.
@@ -305,15 +398,23 @@ def rank_one_witness(space: SymplecticSpace, sub: Subspace, grid=None):
                 if w is not None and tensor_rank(w) == 1:
                     return w, False
         return None, False
-    for t in tensors:
-        if tensor_rank(t) == 1:
+    # the minor test only rules candidates out; tensor_rank confirms each one
+    mats = [_sym_matrix(t) for t in tensors]
+    for t, S in zip(tensors, mats):
+        if _is_rank_one(S) and tensor_rank(t) == 1:
             return t, False
     grid = witness_grid() if grid is None else grid
     nz = [g for g in grid if g]
     for i in range(len(tensors)):
         for j in range(i + 1, len(tensors)):
+            # None: the pencil has rank <= 1 throughout, so no point is ruled out
+            points = _rank_one_points(mats[i], mats[j])
+            if points == []:
+                continue
             for a in nz:
                 for b in nz:
+                    if points is not None and not any(a * y == b * x for x, y in points):
+                        continue
                     cand = tensors[i].scale(a) + tensors[j].scale(b)
                     if not cand.is_zero() and tensor_rank(cand) == 1:
                         return cand, False

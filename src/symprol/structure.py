@@ -52,17 +52,28 @@ class LieTable:
 
     def jacobi_violation(self):
         """First basis triple violating Jacobi, or None if it holds exactly."""
-        basis = [basis_vector(self.n, i) for i in range(self.n)]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                bij = self.bracket_coords(basis[i], basis[j])
-                for k in range(j + 1, self.n):
-                    s = self.bracket_coords(bij, basis[k])
-                    s2 = self.bracket_coords(self.bracket_coords(basis[j], basis[k]), basis[i])
-                    s3 = self.bracket_coords(self.bracket_coords(basis[k], basis[i]), basis[j])
-                    tot = [a + b + c for a, b, c in zip(s, s2, s3)]
-                    if any(tot):
-                        return (i, j, k, tuple(tot))
+        n = self.n
+        pair = {(i, j): self.pair(i, j) for i in range(n) for j in range(n)}
+
+        def nested(i, j, k):
+            """[[e_i, e_j], e_k] as a sparse coefficient dict."""
+            out = {}
+            for m, a in pair[i, j].items():
+                if a:
+                    for l, c in pair[m, k].items():
+                        out[l] = out.get(l, ZERO) + a * c
+            return out
+
+        def total(parts, l):
+            s, s2, s3 = parts
+            return s.get(l, ZERO) + s2.get(l, ZERO) + s3.get(l, ZERO)
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    parts = (nested(i, j, k), nested(j, k, i), nested(k, i, j))
+                    if any(total(parts, l) for l in set().union(*parts)):
+                        return (i, j, k, tuple(total(parts, l) for l in range(n)))
         return None
 
     def _span_bracket(self, sub1: Subspace, sub2: Subspace) -> Subspace:

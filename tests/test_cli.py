@@ -115,6 +115,31 @@ def test_malformed_input_exits_two(tmp_path, capsys, command, text):
     assert "Traceback" not in err
 
 
+S4_GENS = "p1^2 - p2^2\np1*p2\np1*q1 + p2*q2\np2*q1 - p1*q2\nq1^2 - q2^2\nq1*q2\n"
+TORUS_GENS = "p1^2 + q1^2\np2^2 + q2^2\n"
+
+
+@pytest.mark.parametrize("grid, token", [("abc", "abc"), ("1,,2", ""), ("1/0", "1/0"),
+                                         ("1, 2 i, x", "x")])
+@pytest.mark.parametrize("argv, gens", [
+    pytest.param(["finite-type"], S4_GENS, id="finite-type-s4"),
+    pytest.param(["finite-type"], TORUS_GENS, id="finite-type-torus"),
+    pytest.param(["catalog", "verify", "s4"], None, id="catalog-verify-s4"),
+])
+def test_bad_witness_grid_exits_two(tmp_path, capsys, monkeypatch, grid, token, argv, gens):
+    # the grid is read before any input is searched, so a bad value is
+    # reported whether or not the search would have reached the grid
+    monkeypatch.setenv("SYMPROL_WITNESS_GRID", grid)
+    if gens is not None:
+        path = tmp_path / "gens.txt"
+        path.write_text(gens)
+        argv = argv + ["--gens", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "verdict=" not in out
+    assert err == f"error: SYMPROL_WITNESS_GRID: {token!r} is not a scalar\n"
+
+
 def test_realize_commands(capsys):
     code, out, _ = run_cli(["realize", "thmK1", "--base", "sphere", "--k", "2"], capsys)
     assert code == 0

@@ -8,12 +8,16 @@ from symprol.linalg import Matrix, Subspace
 from symprol.scalars import GScalar, ONE, rat
 from symprol.weyl import (SymTensor, SymplecticSpace, dim_sym, monomial_basis, omega,
                           parse_tensor, poisson_bracket, quad_to_matrix)
-from symprol.prolongation import (FINITE, INFINITE, LinearSubalgebra,
+from symprol import catalog
+from symprol.prolongation import (DEFAULT_GRID, FINITE, INFINITE, LinearSubalgebra,
                                   parabolic_prolong_closed_form, prolong_chain,
                                   prolong_step, finite_type_verdict, rank_one_witness,
-                                  span_of_tensors, is_subalgebra)
+                                  span_of_tensors, is_subalgebra, subspace_tensors,
+                                  tensor_rank, witness_grid, _is_rank_one, _nonzero_minor,
+                                  _pencil, _rank_one_points, _s2p_pair_witness, _sp_disc,
+                                  _sym_matrix)
 
-from conftest import assert_same_typed_rows, random_rat
+from conftest import assert_same_typed_rows, random_rat, random_tensor
 
 
 def full_sp(V):
@@ -241,6 +245,11 @@ def _transvect(rng, space, tensors, gaussian):
     c = scalar()
     img = [space.basis_vector(i) + v.scale(c * omega(v, space.basis_vector(i)))
            for i in range(space.dim)]
+    return _substitute(space, img, tensors)
+
+
+def _substitute(space, img, tensors):
+    """Images of the tensors under the substitution e_i -> img[i]."""
     out = []
     for t in tensors:
         y = SymTensor(space, {})
@@ -299,3 +308,268 @@ def test_prolong_step_dimension_matches_sympy_nullspace(V, t):
 def test_negative_kmax_rejected(V, t):
     with pytest.raises(ValueError, match="kmax"):
         prolong_chain(LinearSubalgebra(V, [t("q1*p1")]), kmax=-3)
+
+
+# ---------------------------------------------------------------------------
+# the rank-one search against the unfiltered grid search
+# ---------------------------------------------------------------------------
+
+def _reference_rank_one_witness(space, sub, grid=None):
+    """Reference: the rank-one search with every grid candidate built and
+    sent through tensor_rank, as it was before the minor filter."""
+    csub = sub.complexify()
+    tensors = subspace_tensors(space, csub, 2)
+    if not tensors:
+        return None, True
+    if len(tensors) == 1:
+        t = tensors[0]
+        return (t, False) if tensor_rank(t) == 1 else (None, True)
+    inside_s2p = all(_sp_disc(space, t) is not None for t in tensors)
+    if not inside_s2p and space.n == 2:
+        p1, p2 = space.index["p1"], space.index["p2"]
+        s2p = Subspace.from_vectors(
+            [SymTensor(space, {m: ONE}).coords(2)
+             for m in ((p1, p1), tuple(sorted((p1, p2))), (p2, p2))],
+            dim_sym(2, 2)).complexify()
+        part = csub.intersect(s2p)
+        if part.dim >= 1:
+            w, _ = _reference_rank_one_witness(space, part, grid)
+            if w is not None:
+                return w, False
+    if inside_s2p:
+        for t in tensors:
+            d = _sp_disc(space, t)
+            if not GScalar.of(d):
+                return t, False
+        for i in range(len(tensors)):
+            for j in range(i + 1, len(tensors)):
+                w = _s2p_pair_witness(space, tensors[i], tensors[j])
+                if w is not None and tensor_rank(w) == 1:
+                    return w, False
+        return None, False
+    for t in tensors:
+        if tensor_rank(t) == 1:
+            return t, False
+    grid = witness_grid() if grid is None else grid
+    nz = [g for g in grid if g]
+    for i in range(len(tensors)):
+        for j in range(i + 1, len(tensors)):
+            for a in nz:
+                for b in nz:
+                    cand = tensors[i].scale(a) + tensors[j].scale(b)
+                    if not cand.is_zero() and tensor_rank(cand) == 1:
+                        return cand, False
+    return None, False
+
+
+def _assert_same_search(space, sub, grid=None):
+    got = rank_one_witness(space, sub, grid)
+    want = _reference_rank_one_witness(space, sub, grid)
+    assert got[1] == want[1]
+    if want[0] is None:
+        assert got[0] is None
+    else:
+        assert got[0].coeffs == want[0].coeffs
+        assert {m: type(c) for m, c in got[0].coeffs.items()} == \
+            {m: type(c) for m, c in want[0].coeffs.items()}
+    return want[0]
+
+
+def _sp_z_conjugate(rng, space, tensors, steps=3):
+    """Images under a product of integral symplectic transvections
+    x -> x + c Omega(v, x) v, an element of Sp(2n, Z)."""
+    for _ in range(steps):
+        v = SymTensor(space, {(i,): rat(rng.choice([-2, -1, 1, 2]))
+                              for i in rng.sample(range(space.dim), 2)})
+        c = rat(rng.choice([-1, 1]))
+        img = [space.basis_vector(i) + v.scale(c * omega(v, space.basis_vector(i)))
+               for i in range(space.dim)]
+        tensors = _substitute(space, img, tensors)
+    return tensors
+
+
+def _span_with_square(rng, space, a, b):
+    """Basis (e1, e2), already row-reduced, of a span with a e1 + b e2 a
+    square: for l = x_i + t x_j with t = b / (2a), a l^2 has a at x_i^2 and
+    b at x_i x_j, which become the pivots of e1 and e2."""
+    i, j = sorted(rng.sample(range(space.dim), 2))
+    basis = monomial_basis(space.n, 2)
+    c2 = basis.index((i, j))
+    ell = SymTensor(space, {(i,): GScalar(1), (j,): b / (2 * a)})
+    sq = (ell * ell).scale(a)
+    later = range(c2 + 1, len(basis))
+    coeffs = {basis[c]: GScalar(random_rat(rng, span=3), random_rat(rng, span=1))
+              for c in rng.sample(later, min(2, len(later)))}
+    coeffs[basis[c2]] = GScalar(1)
+    e2 = SymTensor(space, coeffs)
+    e1 = (sq - e2.scale(b)).scale(1 / a)
+    return [e1, e2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_one_witness_finds_grid_squares_like_reference(n):
+    space = SymplecticSpace(n)
+    rng = random.Random(10 + n)
+    nz = [g for g in DEFAULT_GRID if g]
+    for _ in range(25):
+        a, b = rng.choice(nz), rng.choice(nz)
+        gens = _span_with_square(rng, space, a, b)
+        sub = span_of_tensors(gens, degree=2)
+        assert [list(v) for v in sub.basis] == [list(t.coords(2)) for t in gens]
+        w = _assert_same_search(space, sub)
+        assert w is not None and tensor_rank(w) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_one_witness_on_random_spans_like_reference(n):
+    space = SymplecticSpace(n)
+    rng = random.Random(20 + n)
+    found = 0
+    for case in range(30):
+        gens = [random_tensor(rng, space, 2, terms=rng.randint(1, 3), gaussian=case % 3 == 2)
+                for _ in range(rng.randint(2, 3))]
+        if case % 2:
+            # a square among the generators, hidden by the row reduction
+            ell = random_tensor(rng, space, 1, terms=2)
+            gens[1] = ell * ell + gens[0].scale(rat(rng.choice([-2, -1, 1, 2])))
+        found += _assert_same_search(space, span_of_tensors(gens, degree=2)) is not None
+    assert found
+
+
+def _closed_spans(n):
+    if n == 2:
+        V = SymplecticSpace(2)
+        return [[parse_tensor(V, g) for g in gens] for gens in SUBALGEBRAS[2]] + \
+            [catalog.get(name).instantiate(catalog.get(name).param_sets()[0]).basis_tensors()
+             for name in ("s2", "s5", "kk", "sl2diag", "D4_12")]
+    W = SymplecticSpace(3)
+    return [[parse_tensor(W, g) for g in gens] for gens in SUBALGEBRAS[3] + [
+        ["p1*p2", "p1*p3", "p2*p3"], ["p1^2 + p2^2", "6 * p1*p3 + 9 * p3^2 - p2^2"],
+        ["p1*q2 - p2*q1", "p1*p2 + q1*q2", "p1^2 + q1^2 - p2^2 - q2^2"]]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_one_witness_on_sp_z_conjugates_like_reference(n):
+    space = SymplecticSpace(n)
+    rng = random.Random(30 + n)
+    for gens in _closed_spans(n):
+        tensors = _sp_z_conjugate(rng, space, gens)
+        h = LinearSubalgebra(space, tensors)
+        assert h.check_closure() is None
+        _assert_same_search(space, h.subspace)
+
+
+def test_rank_one_witness_custom_grid_like_reference():
+    # (p1 + 3 p3)^2 = e1 + 6 e2 in the reduced basis: off the default grid
+    W = SymplecticSpace(3)
+    sub = span_of_tensors([parse_tensor(W, "p1^2 + p2^2"),
+                           parse_tensor(W, "6 * p1*p3 + 9 * p3^2 - p2^2")], degree=2)
+    assert _assert_same_search(W, sub) is None
+    for grid in [(GScalar(1), GScalar(6)), (GScalar(0), GScalar(-6), GScalar(-1), GScalar(2, 3)),
+                 (GScalar(3), GScalar(1, 2)), (GScalar(0),)]:
+        _assert_same_search(W, sub, grid)
+    w = _assert_same_search(W, sub, (GScalar(1), GScalar(6)))
+    assert w is not None and tensor_rank(w) == 1
+    rng = random.Random(40)
+    grid = (GScalar(3), GScalar(-1, 2), GScalar(1, 1), GScalar(1, -3))
+    for n in (2, 3):
+        space = SymplecticSpace(n)
+        for _ in range(8):
+            a, b = rng.choice(grid), rng.choice(grid)
+            sub = span_of_tensors(_span_with_square(rng, space, a, b), degree=2)
+            assert _assert_same_search(space, sub, grid) is not None
+            _assert_same_search(space, sub, grid[:2])
+
+
+def _sympy_rank(S, size):
+    def conv(x):
+        x = GScalar.of(x)
+        return sympy.Rational(x.re.numerator, x.re.denominator) + \
+            sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+    return sympy.Matrix(size, size, lambda r, c: conv(S.get((r, c), rat(0)))).rank()
+
+
+def _random_sym(rng, size, rank, gaussian):
+    """sum of rank terms c v v^T with sparse v: rank at most rank."""
+    S = {}
+    for _ in range(rank):
+        v = {i: random_rat(rng, span=3) for i in rng.sample(range(size), rng.randint(1, 3))}
+        c = GScalar(random_rat(rng), random_rat(rng)) if gaussian else random_rat(rng)
+        for r, x in v.items():
+            for s, y in v.items():
+                S[r, s] = S.get((r, s), rat(0)) + c * x * y
+    return {k: x for k, x in S.items() if x}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_minor_test_matches_sympy_rank(n):
+    space = SymplecticSpace(n)
+    size = 2 * n
+    rng = random.Random(50 + n)
+    seen = set()
+    for case in range(120):
+        gaussian = case % 2 == 1
+        if case % 3 == 0:
+            S = _sym_matrix(random_tensor(rng, space, 2, terms=rng.randint(0, 4),
+                                          gaussian=gaussian))
+        else:
+            S = _random_sym(rng, size, rng.randint(0, 3), gaussian)
+        rank = _sympy_rank(S, size)
+        seen.add(min(rank, 2))
+        assert _is_rank_one(S) == (rank == 1)
+        minor = _nonzero_minor(S)
+        assert (minor is None) == (rank <= 1)
+        if minor is not None:
+            r0, r, c0, c = minor
+            z = rat(0)
+            assert S.get((r0, c0), z) * S.get((r, c), z) != S.get((r0, c), z) * S.get((r, c0), z)
+    assert seen == {0, 1, 2}
+
+
+def test_sym_matrix_has_the_rank_of_quad_to_matrix():
+    rng = random.Random(60)
+    for n in (2, 3):
+        space = SymplecticSpace(n)
+        for case in range(20):
+            t = random_tensor(rng, space, 2, terms=rng.randint(1, 4), gaussian=case % 2 == 1)
+            assert _sympy_rank(_sym_matrix(t), 2 * n) == quad_to_matrix(t).rank()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_one_points_are_exactly_the_rank_one_pencils(n):
+    # T = (R - x0 S) / y0 with R of rank one puts a rank-one point at (x0, y0);
+    # every point returned has a rank-one pencil, checked by sympy
+    size = 2 * n
+    rng = random.Random(70 + n)
+    nz = [g for g in DEFAULT_GRID if g]
+    checked = 0
+    for case in range(40):
+        gaussian = case % 2 == 1
+        # S of rank one puts a second rank-one point at (1, 0)
+        S = _random_sym(rng, size, rng.choice([1, 2, 3]), gaussian)
+        R = _random_sym(rng, size, 1, gaussian)
+        x0, y0 = rng.choice(nz), rng.choice(nz)
+        T = _pencil(1 / y0, R, -x0 / y0, S)
+        if not R or _sympy_rank(T, size) < 2:
+            continue
+        checked += 1
+        for (x1, y1), P, Q in (((x0, y0), S, T), ((y0, x0), T, S)):
+            points = _rank_one_points(P, Q)
+            assert any(x1 * y == y1 * x for x, y in points)
+            for x, y in points:
+                assert _sympy_rank(_pencil(x, P, y, Q), size) == 1
+        if _sympy_rank(S, size) == 1:
+            assert any(not y for _, y in _rank_one_points(S, T))
+    assert checked > 20
+
+
+def test_rank_one_points_of_degenerate_pencils():
+    one = rat(1)
+    # p1^2 and p2^2: rank one at the two ends only
+    points = _rank_one_points({(0, 0): one}, {(1, 1): one})
+    assert len(points) == 2
+    assert any(not y for _, y in points) and any(not x for x, _ in points)
+    # e1 e1^T and e1 e2^T (not symmetric): every point has rank one
+    assert _rank_one_points({(0, 0): one}, {(0, 1): one}) is None
+    # p1^2 and p1 p2: [[x, y], [y, 0]] has rank one at (1, 0) only
+    assert _rank_one_points({(0, 0): one}, {(0, 1): one, (1, 0): one}) == [(one, rat(0))]

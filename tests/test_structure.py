@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from symprol.scalars import rat
+from symprol.fedosov import corpus
+from symprol.linalg import basis_vector
+from symprol.scalars import GScalar, rat
 from symprol.structure import ClosureError, LieTable, tabulate
 from symprol.weyl import poisson_bracket
 
@@ -46,3 +50,48 @@ def test_jacobi_violation_detected():
     bad = LieTable(["a", "b", "c"],
                    {(0, 1): {2: rat(1)}, (0, 2): {0: rat(1)}, (1, 2): {1: rat(1)}})
     assert bad.jacobi_violation() is not None
+
+
+def _reference_jacobi_violation(table):
+    """Reference: the Jacobi check through dense bracket_coords calls."""
+    basis = [basis_vector(table.n, i) for i in range(table.n)]
+    for i in range(table.n):
+        for j in range(i + 1, table.n):
+            bij = table.bracket_coords(basis[i], basis[j])
+            for k in range(j + 1, table.n):
+                s = table.bracket_coords(bij, basis[k])
+                s2 = table.bracket_coords(table.bracket_coords(basis[j], basis[k]), basis[i])
+                s3 = table.bracket_coords(table.bracket_coords(basis[k], basis[i]), basis[j])
+                tot = [a + b + c for a, b, c in zip(s, s2, s3)]
+                if any(tot):
+                    return (i, j, k, tuple(tot))
+    return None
+
+
+def _random_table(rng, n, density, gaussian):
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = {}
+            for k in range(n):
+                if rng.random() < density:
+                    c = rat(rng.randint(-2, 2), rng.randint(1, 2))
+                    row[k] = GScalar(c, rat(rng.randint(-1, 1))) if gaussian and k % 2 else c
+            if row:
+                brackets[(i, j)] = row
+    return LieTable([f"e{i+1}" for i in range(n)], brackets)
+
+
+def test_jacobi_violation_matches_dense_reference():
+    rng = random.Random(1)
+    tables = [g.table for g in corpus().values()]
+    tables += [_random_table(rng, rng.randint(3, 6), rng.choice([0.1, 0.3]), case % 2 == 1)
+               for case in range(60)]
+    violated = 0
+    for table in tables:
+        got, want = table.jacobi_violation(), _reference_jacobi_violation(table)
+        assert got == want
+        if want is not None:
+            violated += 1
+            assert [type(x) for x in got[3]] == [type(x) for x in want[3]]
+    assert 10 < violated < len(tables)
