@@ -26,8 +26,8 @@ from .scalars import ONE, ZERO, as_rat, fmt_rat, rat
 from .linalg import Matrix, Subspace
 from .weyl import (SymplecticSpace, SymTensor, monomial_basis, parse_tensor,
                    poisson_bracket, tensor_from_coords)
-from .prolongation import (FINITE, INFINITE, LinearSubalgebra,
-                           finite_type_verdict, span_of_tensors, subspace_tensors)
+from .prolongation import (FINITE, INFINITE, LinearSubalgebra, finite_type_verdict,
+                           s2p_discriminant, span_of_tensors, subspace_tensors)
 
 SP4 = SymplecticSpace(2)
 
@@ -53,13 +53,10 @@ L3 = t("-1/2 * p1*q2 + 1/2 * p2*q1")
 def lorentz_norm(x: SymTensor):
     """Invariant Lorentzian norm on S^2(P): x1 p1^2 + x2 p1p2 + x3 p2^2
     has norm 4 x1 x3 - x2^2 (so e0 is positive, e1 and e2 negative)."""
-    p1, p2 = SP4.index["p1"], SP4.index["p2"]
-    x1 = x.coeffs.get((p1, p1), ZERO)
-    x2 = x.coeffs.get(tuple(sorted((p1, p2))), ZERO)
-    x3 = x.coeffs.get((p2, p2), ZERO)
-    if any(m not in ((p1, p1), tuple(sorted((p1, p2))), (p2, p2)) for m in x.coeffs):
+    disc = s2p_discriminant(SP4, x)
+    if disc is None:
         raise ValueError("tensor is not supported on S^2(P)")
-    return 4 * x1 * x3 - x2 * x2
+    return -disc
 
 
 # ---------------------------------------------------------------------------

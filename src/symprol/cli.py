@@ -184,9 +184,7 @@ def cmd_fedosov(args) -> int:
     for line in rep.records():
         print(line)
     if args.report == "full":
-        p = fed.lsa_from_symplectic(g)
-        ct = fed.connection(p)
-        for label, table in (("product", p.table), ("nabla", ct.table)):
+        for label, table in (("product", rep.product.table), ("nabla", rep.nabla.table)):
             for i in range(g.n):
                 for j in range(g.n):
                     if any(table[(i, j)]):
@@ -195,7 +193,7 @@ def cmd_fedosov(args) -> int:
                         print(f"{label} e{i+1} e{j+1} = {terms}")
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                R = fed.curvature_direct(ct, g.basis_vector(i), g.basis_vector(j))
+                R = fed.curvature_direct(rep.nabla, g.basis_vector(i), g.basis_vector(j))
                 for a in range(g.n):
                     for b in range(g.n):
                         if R[a, b]:

@@ -708,6 +708,8 @@ class FedosovReport:
     ricci: Matrix
     identities: Verdict
     structure: StructureReport
+    product: LSAProduct
+    nabla: ConnectionTable
 
     @property
     def ok(self) -> bool:
@@ -748,4 +750,4 @@ def fedosov_report(g: SymplecticLieAlgebra) -> FedosovReport:
     ids = trace_identities(p)
     st = structure_tests(g, p)
     return FedosovReport(g.name, sym, lsa_v, conn_v, curv_ok, ric_c == ric_t,
-                         ric_c, ids, st)
+                         ric_c, ids, st, p, ct)

@@ -1,7 +1,7 @@
 """Exact linear algebra over Q and Q(i): matrices, row-sparse RREF, kernels.
 
 Everything is field-generic: entries only need +, -, *, / and truthiness,
-which both rational backends and GScalar provide.  Rank, kernel and the
+which Fraction and GScalar provide.  Rank, kernel and the
 canonical reduced-row-echelon representative of a subspace are all exact;
 two subspaces are equal iff their canonical forms are identical data.
 

@@ -48,7 +48,6 @@ class LinearSubalgebra:
         self.subspace = span_of_tensors(self.tensors, degree=2) if self.tensors \
             else Subspace.zero(dim_sym(space.n, 2))
         self.name = name
-        self.closure_checked = False
 
     @property
     def dim(self) -> int:
@@ -65,7 +64,6 @@ class LinearSubalgebra:
                 br = poisson_bracket(a, b)
                 if not br.is_zero() and br.coords(2) not in self.subspace:
                     return (a, b, br)
-        self.closure_checked = True
         return None
 
 
@@ -298,63 +296,41 @@ def _rank_one_points(S: dict, T: dict):
     return [(x, y) for x, y in roots if _is_rank_one(_pencil(x, S, y, T))]
 
 
-def _sp_disc(space: SymplecticSpace, t: SymTensor):
-    """For t = x1 p1^2 + x2 p1p2 + x3 p2^2 returns x2^2 - 4 x1 x3, or None
-    if t is not supported on S^2(P)."""
+def _s2p_monomials(space: SymplecticSpace):
+    """The monomials p1^2, p1 p2, p2^2 spanning S^2(P)."""
     p1, p2 = space.index["p1"], space.index["p2"]
-    x1 = x2 = x3 = ZERO
-    for m, c in t.coeffs.items():
-        if m == (p1, p1):
-            x1 = c
-        elif m == tuple(sorted((p1, p2))):
-            x2 = c
-        elif m == (p2, p2):
-            x3 = c
-        else:
-            return None
+    return (p1, p1), (p1, p2), (p2, p2)
+
+
+def s2p_discriminant(space: SymplecticSpace, t: SymTensor):
+    """x2^2 - 4 x1 x3 for t = x1 p1^2 + x2 p1 p2 + x3 p2^2, or None if t is
+    not supported on S^2(P).  A nonzero t in S^2(P) has rank one exactly
+    when it vanishes."""
+    mons = _s2p_monomials(space)
+    if any(m not in mons for m in t.coeffs):
+        return None
+    x1, x2, x3 = (t.coeffs.get(m, ZERO) for m in mons)
     return x2 * x2 - 4 * x1 * x3
 
 
 def _s2p_pair_witness(space, t1, t2):
-    """Rank-one element in span{t1, t2} inside S^2(P), solving the
-    discriminant quadratic exactly over Q(i).  None if the roots leave Q(i)."""
-    d1 = _sp_disc(space, t1)
-    d2 = _sp_disc(space, t2)
-    if d1 is None or d2 is None:
-        return None
-    if not GScalar.of(d2):
-        if not t2.is_zero():
-            return t2
-    # disc(t1 + s t2) = A s^2 + B s + C
-    A = GScalar.of(d2)
-    C = GScalar.of(d1)
-    p1, p2 = space.index["p1"], space.index["p2"]
+    """Rank-one element t1 + s t2 of span{t1, t2} inside S^2(P), where
+    neither t1 nor t2 has rank one, or None if the roots s leave Q(i).
 
-    def coeffs3(t):
-        return (GScalar.of(t.coeffs.get((p1, p1), ZERO)),
-                GScalar.of(t.coeffs.get(tuple(sorted((p1, p2))), ZERO)),
-                GScalar.of(t.coeffs.get((p2, p2), ZERO)))
-
-    a1, b1, c1 = coeffs3(t1)
-    a2, b2, c2 = coeffs3(t2)
-    B = 2 * b1 * b2 - 4 * (a1 * c2 + c1 * a2)
-    if not A:
-        if not B:
-            return t1 if not C else None
-        s = (-C) / B
-        cand = t1.complexify() + t2.complexify().scale(s)
-        return cand if not cand.is_zero() else None
-    disc = B * B - 4 * A * C
-    root = disc.sqrt()
+    The discriminant of t1 + s t2 is A s^2 + B s + C with C = disc(t1) and
+    A = disc(t2) both nonzero, and A + B + C = disc(t1 + t2).
+    """
+    C = GScalar.of(s2p_discriminant(space, t1))
+    A = GScalar.of(s2p_discriminant(space, t2))
+    B = GScalar.of(s2p_discriminant(space, t1 + t2)) - A - C
+    root = (B * B - 4 * A * C).sqrt()
     if root is None:
         return None
-    s = (-B + root) / (2 * A)
-    cand = t1.complexify() + t2.complexify().scale(s)
-    return cand if not cand.is_zero() else None
+    return t1.complexify() + t2.complexify().scale((-B + root) / (2 * A))
 
 
 def rank_one_witness(space: SymplecticSpace, sub: Subspace, grid=None):
-    """Search for a rank-one element of the complexified span.
+    """A rank-one element of the complexified span, or None.
 
     Complete for lines (a line has a rank-one element iff its generator has
     rank one) and for subspaces of S^2(P), where the discriminant quadratic
@@ -363,46 +339,40 @@ def rank_one_witness(space: SymplecticSpace, sub: Subspace, grid=None):
     combinations with coefficients in the configurable grid, skipping the
     candidates whose 2x2 minors rule out rank one; returning None then
     certifies nothing.
-
-    Returns (tensor, certified_absent).  certified_absent is only meaningful
-    when tensor is None.
     """
     csub = sub.complexify()
     tensors = subspace_tensors(space, csub, 2)
     if not tensors:
-        return None, True
+        return None
     if len(tensors) == 1:
         t = tensors[0]
-        return (t, False) if tensor_rank(t) == 1 else (None, True)
-    inside_s2p = all(_sp_disc(space, t) is not None for t in tensors)
+        return t if tensor_rank(t) == 1 else None
+    inside_s2p = all(s2p_discriminant(space, t) is not None for t in tensors)
     if not inside_s2p and space.n == 2:
         # the part of the span inside S^2(P) still gets the complete search
-        p1, p2 = space.index["p1"], space.index["p2"]
         s2p = Subspace.from_vectors(
-            [SymTensor(space, {m: ONE}).coords(2)
-             for m in ((p1, p1), tuple(sorted((p1, p2))), (p2, p2))],
+            [SymTensor(space, {m: ONE}).coords(2) for m in _s2p_monomials(space)],
             dim_sym(2, 2)).complexify()
         part = csub.intersect(s2p)
         if part.dim >= 1:
-            w, _ = rank_one_witness(space, part, grid)
+            w = rank_one_witness(space, part, grid)
             if w is not None:
-                return w, False
+                return w
     if inside_s2p:
         for t in tensors:
-            d = _sp_disc(space, t)
-            if not GScalar.of(d):
-                return t, False
+            if not s2p_discriminant(space, t):
+                return t
         for i in range(len(tensors)):
             for j in range(i + 1, len(tensors)):
                 w = _s2p_pair_witness(space, tensors[i], tensors[j])
                 if w is not None and tensor_rank(w) == 1:
-                    return w, False
-        return None, False
+                    return w
+        return None
     # the minor test only rules candidates out; tensor_rank confirms each one
     mats = [_sym_matrix(t) for t in tensors]
     for t, S in zip(tensors, mats):
         if _is_rank_one(S) and tensor_rank(t) == 1:
-            return t, False
+            return t
     grid = witness_grid() if grid is None else grid
     nz = [g for g in grid if g]
     for i in range(len(tensors)):
@@ -416,9 +386,9 @@ def rank_one_witness(space: SymplecticSpace, sub: Subspace, grid=None):
                     if points is not None and not any(a * y == b * x for x, y in points):
                         continue
                     cand = tensors[i].scale(a) + tensors[j].scale(b)
-                    if not cand.is_zero() and tensor_rank(cand) == 1:
-                        return cand, False
-    return None, False
+                    if tensor_rank(cand) == 1:
+                        return cand
+    return None
 
 
 FINITE = "Finite"
@@ -432,14 +402,13 @@ class TypeVerdict:
     reason: str
     h1_dim: int
     witness: Optional[SymTensor] = None
-    chain: Optional[ProlongationChain] = None
 
     def record(self) -> str:
         ev = f"witness={self.witness}" if self.witness is not None else "h1=0" if self.h1_dim == 0 else f"h1_dim={self.h1_dim}"
         return f"verdict={self.kind} {ev}"
 
 
-def finite_type_verdict(h: LinearSubalgebra, kmax: int = 1) -> TypeVerdict:
+def finite_type_verdict(h: LinearSubalgebra) -> TypeVerdict:
     """Decide finite/infinite type.
 
     For n = 2 the first prolongation decides: h^(1) = 0 gives Finite, and
@@ -449,20 +418,18 @@ def finite_type_verdict(h: LinearSubalgebra, kmax: int = 1) -> TypeVerdict:
     Infinite in any dimension.  For n != 2 with h^(1) != 0 and no witness
     found the verdict is Undecided.
     """
-    chain = prolong_chain(h, kmax=max(1, kmax))
-    h1 = chain.levels[1]
-    witness, _certified = rank_one_witness(h.space, h.subspace)
+    h1 = prolong_chain(h, kmax=1).levels[1]
+    witness = rank_one_witness(h.space, h.subspace)
     if h1.dim == 0:
         if witness is not None:
             # impossible by the theory; report loudly rather than mask it
             raise AssertionError("h^(1) = 0 but a rank-one witness was found")
-        return TypeVerdict(FINITE, "first prolongation vanishes", 0, None, chain)
+        return TypeVerdict(FINITE, "first prolongation vanishes", 0)
     if witness is not None:
         return TypeVerdict(INFINITE, "rank-one element in the complexification",
-                           h1.dim, witness, chain)
+                           h1.dim, witness)
     if h.space.n == 2:
         return TypeVerdict(INFINITE,
                            "h^(1) != 0 and finite type subalgebras of sp_2(R) have h^(1) = 0",
-                           h1.dim, None, chain)
-    return TypeVerdict(UNDECIDED, "h^(1) != 0 and no rank-one witness found",
-                       h1.dim, None, chain)
+                           h1.dim)
+    return TypeVerdict(UNDECIDED, "h^(1) != 0 and no rank-one witness found", h1.dim)

@@ -1,14 +1,10 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
-All coefficients in this package are exact.  Plain rationals are handled by a
-swappable backend: ``gmpy2.mpq`` (a compiled C extension) when available,
-``fractions.Fraction`` otherwise.  The environment variable
-``SYMPROL_BACKEND`` ("gmpy2" or "fraction") overrides the default choice.
-Both backends expose the same operator surface, so everything downstream is
-backend-agnostic.
+All coefficients in this package are exact.  Plain rationals are
+``fractions.Fraction`` (``rat`` is an alias of it).
 
-Gaussian rationals (elements of Q(i)) are pairs of backend rationals with
-full field arithmetic; complexification of rational data is the base change
+Gaussian rationals (elements of Q(i)) are pairs of rationals with full field
+arithmetic; complexification of rational data is the base change
 x -> GScalar(x, 0) of the same structures, not a separate code path.
 
 Text forms: rationals print as "a/b" or "a"; Gaussian rationals as
@@ -18,71 +14,33 @@ Text forms: rationals print as "a/b" or "a"; Gaussian rationals as
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
-_backend_name = os.environ.get("SYMPROL_BACKEND", "").strip().lower()
-if _backend_name not in ("", "gmpy2", "fraction"):
-    raise RuntimeError(f"SYMPROL_BACKEND must be 'gmpy2' or 'fraction', got {_backend_name!r}")
+BACKEND = "fraction"  # the rational type, as benchmark records name it
 
-if _backend_name != "fraction":
-    try:
-        from gmpy2 import mpq as _mpq
-    except ImportError:
-        if _backend_name == "gmpy2":
-            raise
-        _mpq = None
-else:
-    _mpq = None
-
-if _mpq is not None:
-    BACKEND = "gmpy2"
-
-    def rat(num, den=1):
-        return _mpq(num, den)
-
-    def _num(x):
-        return int(x.numerator)
-
-    def _den(x):
-        return int(x.denominator)
-
-else:
-    BACKEND = "fraction"
-
-    def rat(num, den=1):
-        return Fraction(num, den)
-
-    def _num(x):
-        return x.numerator
-
-    def _den(x):
-        return x.denominator
-
+rat = Fraction
 
 ZERO = rat(0)
 ONE = rat(1)
 
-RAT_TYPES = (int, Fraction) if _mpq is None else (int, Fraction, type(_mpq(0)))
-
 
 def is_rat(x) -> bool:
-    return isinstance(x, RAT_TYPES)
+    return isinstance(x, (int, Fraction))
 
 
 def as_rat(x):
-    """A Python int as a backend rational; any other scalar unchanged."""
+    """A Python int as a rational; any other scalar unchanged."""
     return rat(x) if isinstance(x, int) else x
 
 
 def fmt_rat(x) -> str:
-    """Render a backend rational as "a/b" or "a"."""
-    n, d = _num(x), _den(x)
+    """Render a rational as "a/b" or "a"."""
+    n, d = x.numerator, x.denominator
     return str(n) if d == 1 else f"{n}/{d}"
 
 
 def parse_rat(text: str):
-    """Parse "a/b" or "a" into a backend rational."""
+    """Parse "a/b" or "a" into a rational."""
     text = text.strip()
     if "/" in text:
         a, b = text.split("/")
@@ -95,7 +53,7 @@ def parse_rat(text: str):
 
 def rat_sqrt(x):
     """Exact square root of a nonnegative rational, or None if irrational."""
-    n, d = _num(x), _den(x)
+    n, d = x.numerator, x.denominator
     if n < 0:
         return None
     rn, rd = math.isqrt(n), math.isqrt(d)
@@ -105,13 +63,13 @@ def rat_sqrt(x):
 
 
 class GScalar:
-    """Gaussian rational a + b i with exact backend-rational parts."""
+    """Gaussian rational a + b i with Fraction parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if is_rat(re) and not isinstance(re, int) else rat(re)
-        self.im = im if is_rat(im) and not isinstance(im, int) else rat(im)
+        self.re = re if isinstance(re, Fraction) else Fraction(re)
+        self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     @classmethod
     def of(cls, x) -> "GScalar":
@@ -129,7 +87,7 @@ class GScalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((Fraction(_num(self.re), _den(self.re)), Fraction(_num(self.im), _den(self.im))))
+        return hash((self.re, self.im))
 
     def __add__(self, other):
         other = GScalar.of(other)

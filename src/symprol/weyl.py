@@ -34,16 +34,12 @@ from .linalg import Matrix
 class SymplecticSpace:
     """R^(2n) with its symplectic basis p_1..p_n, q_1..q_n."""
 
-    def __init__(self, n: int, labels=None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("need n >= 1")
         self.n = n
         self.dim = 2 * n
-        if labels is None:
-            labels = [f"p{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)]
-        if len(labels) != 2 * n:
-            raise ValueError("need 2n basis labels")
-        self.labels = tuple(labels)
+        self.labels = tuple([f"p{i+1}" for i in range(n)] + [f"q{i+1}" for i in range(n)])
         self.index = {lab: i for i, lab in enumerate(self.labels)}
 
     def omega_idx(self, i: int, j: int):
@@ -63,7 +59,7 @@ class SymplecticSpace:
         return SymTensor(self, {(i,): ONE})
 
     def __eq__(self, other):
-        return isinstance(other, SymplecticSpace) and self.n == other.n and self.labels == other.labels
+        return isinstance(other, SymplecticSpace) and self.n == other.n
 
     def __repr__(self):
         return f"SymplecticSpace(n={self.n})"

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from symprol.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_cli(argv, capsys):
@@ -138,6 +146,20 @@ def test_bad_witness_grid_exits_two(tmp_path, capsys, monkeypatch, grid, token, 
     assert code == 2
     assert "verdict=" not in out
     assert err == f"error: SYMPROL_WITNESS_GRID: {token!r} is not a scalar\n"
+
+
+@pytest.mark.parametrize("value", ["foo", "gmpy2"])
+def test_backend_variable_is_ignored(value):
+    # the package has one rational type and reads no SYMPROL_BACKEND; a
+    # fresh interpreter is needed, because a switch read on import would act
+    # before the command's error handling
+    env = dict(os.environ, SYMPROL_BACKEND=value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "symprol.cli", "finite-type", "--gens", "torus.gens"],
+                          cwd=GOLDEN, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "finite_type_torus.out").read_text()
+    assert proc.stderr == ""
 
 
 def test_realize_commands(capsys):

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from symprol.linalg import Matrix, Subspace
-from symprol.scalars import GScalar, ONE, rat
+from symprol.scalars import GScalar, ONE, ZERO, rat
 from symprol.weyl import (SymTensor, SymplecticSpace, dim_sym, monomial_basis, omega,
                           parse_tensor, poisson_bracket, quad_to_matrix)
 from symprol import catalog
@@ -14,8 +14,8 @@ from symprol.prolongation import (DEFAULT_GRID, FINITE, INFINITE, LinearSubalgeb
                                   prolong_step, finite_type_verdict, rank_one_witness,
                                   span_of_tensors, is_subalgebra, subspace_tensors,
                                   tensor_rank, witness_grid, _is_rank_one, _nonzero_minor,
-                                  _pencil, _rank_one_points, _s2p_pair_witness, _sp_disc,
-                                  _sym_matrix)
+                                  _pencil, _rank_one_points, _s2p_pair_witness, _sym_matrix,
+                                  s2p_discriminant)
 
 from conftest import assert_same_typed_rows, random_rat, random_tensor
 
@@ -117,12 +117,11 @@ def test_non_subalgebra_rejected(V, t):
 
 
 def test_rank_one_witness_lines(V, t):
-    w, _ = rank_one_witness(V, span_of_tensors([t("p1^2")], degree=2))
+    w = rank_one_witness(V, span_of_tensors([t("p1^2")], degree=2))
     assert w is not None and quad_to_matrix(w).rank() == 1
-    w, certified = rank_one_witness(V, span_of_tensors([t("p1*p2")], degree=2))
-    assert w is None and certified
+    assert rank_one_witness(V, span_of_tensors([t("p1*p2")], degree=2)) is None
     # lightlike line: x2^2 = 4 x1 x3 with (1, 2, 1)
-    w, _ = rank_one_witness(V, span_of_tensors([t("p1^2 + 2 * p1*p2 + p2^2")], degree=2))
+    w = rank_one_witness(V, span_of_tensors([t("p1^2 + 2 * p1*p2 + p2^2")], degree=2))
     assert w is not None
 
 
@@ -132,7 +131,7 @@ def test_two_dim_subspaces_of_s2p_have_witness(V, t):
              ("p1^2 - p2^2", "p1^2 + 4 * p2^2")]
     for a, b in pairs:
         sub = span_of_tensors([t(a), t(b)], degree=2)
-        w, _ = rank_one_witness(V, sub)
+        w = rank_one_witness(V, sub)
         assert w is not None
         assert quad_to_matrix(w).rank() == 1
         assert w.coords(2) in sub.complexify()
@@ -147,7 +146,7 @@ def test_witnesses_pass_independent_rank_check(V, t):
          t("p1*p2"), t("q1^2 - q2^2"), t("q1*q2")],
     ]
     for gens in hs:
-        w, _ = rank_one_witness(V, span_of_tensors(gens, degree=2))
+        w = rank_one_witness(V, span_of_tensors(gens, degree=2))
         assert w is not None
         assert quad_to_matrix(w).rank() == 1
 
@@ -169,14 +168,13 @@ def test_witness_found_through_s2p_intersection(V, t):
     # the intersection with S^2(P) is what finds them
     gens = [t("p1^2 - 9 * p2^2"), t("p1*p2"), t("p1*q1 + p2*q2")]
     sub = span_of_tensors(gens, degree=2)
-    w, _ = rank_one_witness(V, sub)
+    w = rank_one_witness(V, sub)
     assert w is not None and quad_to_matrix(w).rank() == 1
     assert w.coords(2) in sub.complexify()
-    # and the genuinely irrational case stays witness-free without a
-    # certificate (the elements of rank one live outside Q(i))
+    # and the genuinely irrational case stays witness-free (the elements of
+    # rank one live outside Q(i))
     gens2 = [t("p1^2 - 2 * p2^2"), t("p1*p2"), t("p1*q1 + p2*q2")]
-    w2, certified = rank_one_witness(V, span_of_tensors(gens2, degree=2))
-    assert w2 is None and not certified
+    assert rank_one_witness(V, span_of_tensors(gens2, degree=2)) is None
 
 
 def test_undecided_outside_dimension_four(t):
@@ -314,6 +312,42 @@ def test_negative_kmax_rejected(V, t):
 # the rank-one search against the unfiltered grid search
 # ---------------------------------------------------------------------------
 
+def _reference_s2p_pair_witness(space, t1, t2):
+    """Reference: the pair solve of the S^2(P) search with the discriminant
+    quadratic expanded coefficient by coefficient."""
+    d1 = s2p_discriminant(space, t1)
+    d2 = s2p_discriminant(space, t2)
+    if d1 is None or d2 is None:
+        return None
+    if not GScalar.of(d2):
+        if not t2.is_zero():
+            return t2
+    A = GScalar.of(d2)
+    C = GScalar.of(d1)
+    p1, p2 = space.index["p1"], space.index["p2"]
+
+    def coeffs3(t):
+        return (GScalar.of(t.coeffs.get((p1, p1), ZERO)),
+                GScalar.of(t.coeffs.get(tuple(sorted((p1, p2))), ZERO)),
+                GScalar.of(t.coeffs.get((p2, p2), ZERO)))
+
+    a1, b1, c1 = coeffs3(t1)
+    a2, b2, c2 = coeffs3(t2)
+    B = 2 * b1 * b2 - 4 * (a1 * c2 + c1 * a2)
+    if not A:
+        if not B:
+            return t1 if not C else None
+        s = (-C) / B
+        cand = t1.complexify() + t2.complexify().scale(s)
+        return cand if not cand.is_zero() else None
+    root = (B * B - 4 * A * C).sqrt()
+    if root is None:
+        return None
+    s = (-B + root) / (2 * A)
+    cand = t1.complexify() + t2.complexify().scale(s)
+    return cand if not cand.is_zero() else None
+
+
 def _reference_rank_one_witness(space, sub, grid=None):
     """Reference: the rank-one search with every grid candidate built and
     sent through tensor_rank, as it was before the minor filter."""
@@ -324,7 +358,7 @@ def _reference_rank_one_witness(space, sub, grid=None):
     if len(tensors) == 1:
         t = tensors[0]
         return (t, False) if tensor_rank(t) == 1 else (None, True)
-    inside_s2p = all(_sp_disc(space, t) is not None for t in tensors)
+    inside_s2p = all(s2p_discriminant(space, t) is not None for t in tensors)
     if not inside_s2p and space.n == 2:
         p1, p2 = space.index["p1"], space.index["p2"]
         s2p = Subspace.from_vectors(
@@ -338,12 +372,12 @@ def _reference_rank_one_witness(space, sub, grid=None):
                 return w, False
     if inside_s2p:
         for t in tensors:
-            d = _sp_disc(space, t)
+            d = s2p_discriminant(space, t)
             if not GScalar.of(d):
                 return t, False
         for i in range(len(tensors)):
             for j in range(i + 1, len(tensors)):
-                w = _s2p_pair_witness(space, tensors[i], tensors[j])
+                w = _reference_s2p_pair_witness(space, tensors[i], tensors[j])
                 if w is not None and tensor_rank(w) == 1:
                     return w, False
         return None, False
@@ -364,15 +398,14 @@ def _reference_rank_one_witness(space, sub, grid=None):
 
 def _assert_same_search(space, sub, grid=None):
     got = rank_one_witness(space, sub, grid)
-    want = _reference_rank_one_witness(space, sub, grid)
-    assert got[1] == want[1]
-    if want[0] is None:
-        assert got[0] is None
+    want, _ = _reference_rank_one_witness(space, sub, grid)
+    if want is None:
+        assert got is None
     else:
-        assert got[0].coeffs == want[0].coeffs
-        assert {m: type(c) for m, c in got[0].coeffs.items()} == \
-            {m: type(c) for m, c in want[0].coeffs.items()}
-    return want[0]
+        assert got.coeffs == want.coeffs
+        assert {m: type(c) for m, c in got.coeffs.items()} == \
+            {m: type(c) for m, c in want.coeffs.items()}
+    return want
 
 
 def _sp_z_conjugate(rng, space, tensors, steps=3):
@@ -479,6 +512,43 @@ def test_rank_one_witness_custom_grid_like_reference():
             sub = span_of_tensors(_span_with_square(rng, space, a, b), degree=2)
             assert _assert_same_search(space, sub, grid) is not None
             _assert_same_search(space, sub, grid[:2])
+
+
+def test_s2p_pair_witness_like_reference(V):
+    # complexified pairs inside S^2(P), neither of rank one, as the S^2(P)
+    # search meets them; every other pair spans a square at a random ratio
+    rng = random.Random(50)
+    mons = ((0, 0), (0, 1), (1, 1))
+
+    def s2p_tensor(gaussian):
+        coeffs = {m: random_rat(rng, span=4) for m in mons}
+        if gaussian:
+            coeffs = {m: GScalar(c, random_rat(rng, span=2)) for m, c in coeffs.items()}
+        return SymTensor(V, {m: c for m, c in coeffs.items() if c})
+
+    found = 0
+    for case in range(80):
+        t2 = s2p_tensor(case % 3 == 2)
+        if case % 2:
+            ell = SymTensor(V, {(0,): random_rat(rng, span=3), (1,): random_rat(rng, span=3)})
+            t1 = ell * ell - t2.scale(random_rat(rng, span=3))
+        else:
+            t1 = s2p_tensor(case % 3 == 1)
+        if not s2p_discriminant(V, t1) or not s2p_discriminant(V, t2) \
+                or span_of_tensors([t1, t2], degree=2).dim < 2:
+            continue
+        t1, t2 = t1.complexify(), t2.complexify()
+        got = _s2p_pair_witness(V, t1, t2)
+        want = _reference_s2p_pair_witness(V, t1, t2)
+        if want is None:
+            assert got is None
+            continue
+        assert got.coeffs == want.coeffs
+        assert {m: type(c) for m, c in got.coeffs.items()} == \
+            {m: type(c) for m, c in want.coeffs.items()}
+        assert tensor_rank(got) == 1
+        found += 1
+    assert found >= 20
 
 
 def _sympy_rank(S, size):
