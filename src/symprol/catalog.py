@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .scalars import ONE, ZERO, as_rat, fmt_rat, rat
+from .scalars import ONE, as_rat, fmt_rat, rat
 from .linalg import Matrix, Subspace
 from .weyl import (SymplecticSpace, SymTensor, monomial_basis, parse_tensor,
                    poisson_bracket, tensor_from_coords)
@@ -66,24 +66,16 @@ def lorentz_norm(x: SymTensor):
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str                  # "sign" (+-1), "sign0" (0,+-1), "rational"
-    condition: str = ""        # human-readable side condition
-    check: Optional[Callable] = None
-    defaults: tuple = ()
-
-    def legal(self, value) -> bool:
-        if self.kind == "sign":
-            return value in (1, -1) or value in (ONE, -ONE)
-        if self.kind == "sign0":
-            return value in (0, 1, -1) or value in (ZERO, ONE, -ONE)
-        return self.check(value) if self.check else True
+    condition: str             # human-readable side condition
+    check: Callable            # value -> bool, True when legal
+    defaults: tuple
 
 
-SIGN = Param("eps", "sign", "eps = +-1", defaults=(1, -1))
-SIGN0 = Param("eps", "sign0", "eps = 0 or +-1", defaults=(0, 1, -1))
-A_NONZERO = Param("a", "rational", "a != 0", check=lambda v: bool(as_rat(v)), defaults=(1, 2))
-A_POSITIVE = Param("a", "rational", "a > 0", check=lambda v: as_rat(v) > 0, defaults=(1, 2))
-LAM_NONZERO = Param("lam", "rational", "lam != 0", check=lambda v: bool(as_rat(v)), defaults=(1, 2))
+SIGN = Param("eps", "eps = +-1", lambda v: v in (1, -1), (1, -1))
+SIGN0 = Param("eps", "eps = 0 or +-1", lambda v: v in (0, 1, -1), (0, 1, -1))
+A_NONZERO = Param("a", "a != 0", lambda v: bool(as_rat(v)), (1, 2))
+A_POSITIVE = Param("a", "a > 0", lambda v: as_rat(v) > 0, (1, 2))
+LAM_NONZERO = Param("lam", "lam != 0", lambda v: bool(as_rat(v)), (1, 2))
 
 
 @dataclass
@@ -95,7 +87,6 @@ class CatalogEntry:
     expected_dim: Optional[int] = None
     expected_finite: Optional[bool] = None
     expected_h1: Optional[int] = None
-    annotations: tuple = ()
 
     def param_sets(self):
         if not self.params:
@@ -110,7 +101,7 @@ class CatalogEntry:
         for p in self.params:
             if p.name not in params:
                 raise ValueError(f"{self.name}: missing parameter {p.name} ({p.condition})")
-            if not p.legal(params[p.name]):
+            if not p.check(params[p.name]):
                 raise ValueError(f"{self.name}: illegal {p.name}={params[p.name]} ({p.condition})")
         for k in params:
             if all(p.name != k for p in self.params):
@@ -134,8 +125,8 @@ def _eps_tensor(base: SymTensor, eps, extra: SymTensor) -> SymTensor:
 _REGISTRY: dict = {}
 
 
-def _entry(name, citation, builder, params=(), dim=None, finite=None, h1=None, notes=()):
-    _REGISTRY[name] = CatalogEntry(name, citation, builder, params, dim, finite, h1, notes)
+def _entry(name, citation, builder, params=(), dim=None, finite=None, h1=None):
+    _REGISTRY[name] = CatalogEntry(name, citation, builder, params, dim, finite, h1)
 
 
 def names():
@@ -167,12 +158,12 @@ _entry("s3", "pseudo-unitary algebra u(1,1), split analogue of s2",
        lambda p: [t("p1^2 + q1^2"), t("p2^2 + q2^2"), t("p1*q2 + p2*q1"), t("p1*p2 - q1*q2")],
        dim=4, finite=True, h1=0)
 
+# every proper subalgebra lies in s2 or p1 up to conjugation (a classification
+# fact, recorded but not re-checked here)
 _entry("s4", "maximal subalgebra sl2(C) = so(1,3), spin representation on R^4",
        lambda p: [t("p1*q1 + p2*q2"), t("p2*q1 - p1*q2"), t("p1^2 - p2^2"),
                   t("p1*p2"), t("q1^2 - q2^2"), t("q1*q2")],
-       dim=6, finite=False, h1=8,
-       notes=("every proper subalgebra lies in s2 or p1 up to conjugation "
-              "(classification fact, recorded but not re-checked here)",))
+       dim=6, finite=False, h1=8)
 
 _entry("s5", "irreducible sl2(R) on binary cubics S^3(R^2) = R^4 (an sl2-triple)",
        lambda p: [t("p1*q1 + 3 * p2*q2"), t("p2*q1 + p1^2"), t("3 * p1*q2 - q1^2")],
@@ -210,10 +201,10 @@ _entry("k-mixed", "direct sum of a compact and a split Cartan subalgebra of sl2(
        lambda p: [t("p1^2 + q1^2"), t("p2*q2")],
        dim=2, finite=True, h1=0)
 
+# coincides with D_{6,14} up to conjugation in the full symplectic group
 _entry("D4_12", "solvable 2-dimensional nonsplitting subalgebra D_{4,12}",
        lambda p: [_eps_tensor(t("p1*q1"), p["eps"], t("p2^2")), t("p2*q1")],
-       params=(SIGN,), dim=2, finite=True, h1=0,
-       notes=("coincides with D_{6,14} up to conjugation in the full symplectic group",))
+       params=(SIGN,), dim=2, finite=True, h1=0)
 
 _entry("eline", "1-dimensional span(p2^2 + q2^2 + eps p1^2)",
        lambda p: [_eps_tensor(t("p2^2 + q2^2"), p["eps"], t("p1^2"))],
@@ -226,10 +217,13 @@ def _cartan(copy: int, kind: str) -> SymTensor:
     return t(f"p{i}^2 + q{i}^2") if kind == "compact" else t(f"p{i}*q{i}")
 
 
-KIND1 = Param("k1", "rational", "k1 in {compact, split}",
-              check=lambda v: v in ("compact", "split"), defaults=("compact", "split"))
-KIND2 = Param("k2", "rational", "k2 in {compact, split}",
-              check=lambda v: v in ("compact", "split"), defaults=("compact", "split"))
+def _kind_param(name):
+    return Param(name, f"{name} in {{compact, split}}", lambda v: v in ("compact", "split"),
+                 ("compact", "split"))
+
+
+KIND1 = _kind_param("k1")
+KIND2 = _kind_param("k2")
 
 _entry("kk", "sum of Cartan subalgebras, one in each sl2(R) factor",
        lambda p: [_cartan(1, p["k1"]), _cartan(2, p["k2"])],
@@ -277,10 +271,10 @@ _entry("D4_12p", "similitude table row D_{4,12} as printed: F - K1 + eps(e0 - e1
 _entry("D4_13", "similitude table row D_{4,13}: F + (1/2) K1, K2 + L3 + eps(e0 + e1)",
        lambda p: [F_DIL + K1.scale(rat(1, 2)), K2 + L3 + (E0 + E1).scale(_eps(p))],
        params=(SIGN,), dim=2, finite=True, h1=0)
+# D4_13alt equals the Borel subalgebra of the irreducible sl2 on binary cubics
 _entry("D4_13alt", "D_{4,13} in the equivalent form span(p1q1 + 3 p2q2, p2q1 + eps p1^2)",
        lambda p: [t("p1*q1 + 3 * p2*q2"), _eps_tensor(t("p2*q1"), p["eps"], t("p1^2"))],
-       params=(SIGN,), dim=2, finite=True, h1=0,
-       notes=("equals the Borel subalgebra of the irreducible sl2 on binary cubics",))
+       params=(SIGN,), dim=2, finite=True, h1=0)
 _entry("D6_13", "similitude table row D_{6,13}, a > 0",
        lambda p: [F_DIL + K1.scale(_a(p)), E2], params=(A_POSITIVE,), dim=2, finite=True, h1=0)
 _entry("D6_14", "similitude table row D_{6,14}: F + K1 + eps(e0 + e1), e2",
@@ -305,10 +299,10 @@ _entry("p2m3", "maximal finite type subalgebra span(p2q2 + eps p1^2, p1p2) of p2
 _entry("p2m4", "maximal finite type subalgebra span(p2^2 + q2^2 + eps p1^2) of p2",
        lambda p: [_eps_tensor(t("p2^2 + q2^2"), p["eps"], t("p1^2"))],
        params=(SIGN,), dim=1, finite=True, h1=0)
+# p2m5: for eps = -1 both e1 and e2 have negative Lorentzian norm
 _entry("p2m5", "maximal finite type subalgebra span(p2^2 + eps p1^2, p1q1 + p2q2) of p2",
        lambda p: [_eps_tensor(t("p2^2"), p["eps"], t("p1^2")), t("p1*q1 + p2*q2")],
-       params=(SIGN,), dim=2, finite=True, h1=0,
-       notes=("for eps = -1 both e1 and e2 have negative Lorentzian norm",))
+       params=(SIGN,), dim=2, finite=True, h1=0)
 _entry("p2m6", "maximal finite type subalgebra span(p2^2 + eps p1q2, 3 p1q1 + p2q2) of p2",
        lambda p: [_eps_tensor(t("p2^2"), p["eps"], t("p1*q2")), t("3 * p1*q1 + p2*q2")],
        params=(SIGN,), dim=2, finite=True, h1=0)

@@ -28,8 +28,7 @@ from .weyl import SymplecticSpace, parse_tensor, poisson_bracket
 from .prolongation import (LinearSubalgebra, finite_type_verdict, prolong_chain,
                            witness_grid)
 from .structure import tabulate
-from .realizations import (InvarianceError, bracket_action_matrices, build_thmK1,
-                           build_thmK2, ce_h1)
+from .realizations import bracket_action_matrices, build_thmK1, build_thmK2, ce_h1
 from . import fedosov as fed
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
@@ -65,17 +64,13 @@ def cmd_catalog(args) -> int:
             print(f"entry={name} params={ptxt} citation={e.citation}")
         return EXIT_OK
     # verify
-    try:
-        witness_grid()
-        if args.name:
-            entry = catalog.get(args.name)
-            sets = [_parse_params(args.params)] if args.params else entry.param_sets()
-            reports = [catalog.verify_entry(entry, ps) for ps in sets]
-        else:
-            reports = catalog.verify_all()
-    except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    witness_grid()
+    if args.name:
+        entry = catalog.get(args.name)
+        sets = [_parse_params(args.params)] if args.params else entry.param_sets()
+        reports = [catalog.verify_entry(entry, ps) for ps in sets]
+    else:
+        reports = catalog.verify_all()
     for r in reports:
         print(r.record())
     npass = sum(1 for r in reports if r.ok)
@@ -98,13 +93,8 @@ def _load_gens(path):
 
 def cmd_prolong(args) -> int:
     _echo([("command", "prolong"), ("gens", args.gens), ("kmax", args.kmax)])
-    try:
-        space, gens = _load_gens(args.gens)
-        h = LinearSubalgebra(space, gens)
-        chain = prolong_chain(h, kmax=args.kmax)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    space, gens = _load_gens(args.gens)
+    chain = prolong_chain(LinearSubalgebra(space, gens), kmax=args.kmax)
     print(f"dims={','.join(map(str, chain.dims))}")
     for k, sub in enumerate(chain.levels):
         for t in chain.level_tensors(k):
@@ -114,44 +104,28 @@ def cmd_prolong(args) -> int:
 
 def cmd_finite_type(args) -> int:
     _echo([("command", "finite-type"), ("gens", args.gens)])
-    try:
-        witness_grid()
-        space, gens = _load_gens(args.gens)
-        h = LinearSubalgebra(space, gens)
-        bad = h.check_closure()
-        if bad is not None:
-            a, b, br = bad
-            print(f"error: not a subalgebra: [{a}, {b}] = {br} is outside the span",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        verdict = finite_type_verdict(h)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    witness_grid()
+    space, gens = _load_gens(args.gens)
+    h = LinearSubalgebra(space, gens)
+    bad = h.check_closure()
+    if bad is not None:
+        a, b, br = bad
+        raise ValueError(f"not a subalgebra: [{a}, {b}] = {br} is outside the span")
+    verdict = finite_type_verdict(h)
     print(f"dim={h.dim} h1={verdict.h1_dim} {verdict.record()}")
     return EXIT_OK
 
 
 def cmd_realize(args) -> int:
     _echo([("command", "realize"), ("model", args.model), ("base", args.base),
-           ("k", args.k), ("N", args.N), ("xi", args.xi), ("alpha", args.alpha),
-           ("trunc", args.trunc)])
-    try:
-        if args.model == "thmK1":
-            rep = build_thmK1(args.base, args.k, args.N, trunc=args.trunc)
-        else:
-            if args.base in ("sl2aff2", "gl2aff2"):
-                rep = build_thmK2(args.base, k=args.k, trunc=args.trunc)
-            else:
-                tops = _parse_tops(args.xi)
-                rep = build_thmK2(args.base, tops=tops, trunc=args.trunc,
-                                  alpha=parse_scalar(args.alpha) if args.alpha else 0)
-    except InvarianceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+           ("k", args.k), ("N", args.N), ("xi", args.xi), ("alpha", args.alpha)])
+    if args.model == "thmK1":
+        rep = build_thmK1(args.base, args.k, args.N)
+    elif args.base in ("sl2aff2", "gl2aff2"):
+        rep = build_thmK2(args.base, k=args.k)
+    else:
+        rep = build_thmK2(args.base, tops=_parse_tops(args.xi),
+                          alpha=parse_scalar(args.alpha) if args.alpha else 0)
     for line in rep.records():
         print(line)
     return EXIT_OK if rep.ok else EXIT_FAIL
@@ -174,13 +148,9 @@ def _parse_tops(text):
 
 def cmd_fedosov(args) -> int:
     _echo([("command", "fedosov"), ("algebra", args.algebra), ("report", args.report)])
-    try:
-        with open(args.algebra) as fh:
-            g = fed.parse_algebra(fh.read(), name=args.algebra)
-        rep = fed.fedosov_report(g)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.algebra) as fh:
+        g = fed.parse_algebra(fh.read(), name=args.algebra)
+    rep = fed.fedosov_report(g)
     for line in rep.records():
         print(line)
     if args.report == "full":
@@ -226,8 +196,7 @@ def cmd_ce_h1(args) -> int:
             print(f"case={name} description={desc}")
         return EXIT_OK
     if args.case not in CE_CASES:
-        print(f"error: unknown case {args.case!r}; try --list", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown case {args.case!r}; try --list")
     desc, h_txt, m_txt = CE_CASES[args.case]
     space = SymplecticSpace(2)
     h_tensors = [parse_tensor(space, s) for s in h_txt]
@@ -271,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--N", type=int, default=0)
     r.add_argument("--xi", help="triangle tops for conf/euc, e.g. 'W(1,1)+W(1,-1)'")
     r.add_argument("--alpha", help="deformation parameter for the euc base")
-    r.add_argument("--trunc", type=int, help="series truncation degree override")
     r.set_defaults(fn=cmd_realize)
 
     d = sub.add_parser("fedosov", help="left-symmetric / connection report")
@@ -288,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, KeyError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -302,6 +302,17 @@ def _s2p_monomials(space: SymplecticSpace):
     return (p1, p1), (p1, p2), (p2, p2)
 
 
+def _s2p_part(space: SymplecticSpace, csub: Subspace) -> Subspace:
+    """The part of a complexified span of quadrics inside S^2(P): the
+    combinations of its basis whose coordinates off S^2(P) vanish."""
+    s2p = _s2p_monomials(space)
+    B = Matrix.from_columns(csub.basis)
+    off = [row for row, m in zip(B.entries, monomial_basis(space.n, 2)) if m not in s2p]
+    return Subspace.from_vectors(
+        [B.apply(c) for c in Matrix(off, ncols=csub.dim).kernel().basis],
+        csub.ambient).complexify()
+
+
 def s2p_discriminant(space: SymplecticSpace, t: SymTensor):
     """x2^2 - 4 x1 x3 for t = x1 p1^2 + x2 p1 p2 + x3 p2^2, or None if t is
     not supported on S^2(P).  A nonzero t in S^2(P) has rank one exactly
@@ -350,10 +361,7 @@ def rank_one_witness(space: SymplecticSpace, sub: Subspace, grid=None):
     inside_s2p = all(s2p_discriminant(space, t) is not None for t in tensors)
     if not inside_s2p and space.n == 2:
         # the part of the span inside S^2(P) still gets the complete search
-        s2p = Subspace.from_vectors(
-            [SymTensor(space, {m: ONE}).coords(2) for m in _s2p_monomials(space)],
-            dim_sym(2, 2)).complexify()
-        part = csub.intersect(s2p)
+        part = _s2p_part(space, csub)
         if part.dim >= 1:
             w = rank_one_witness(space, part, grid)
             if w is not None:

@@ -150,7 +150,6 @@ def nonsplit_check(h_tensors, c_images, psi_images) -> NonsplitReport:
     alg = LinearSubalgebra(space, deformed, "nonsplit")
     closed = alg.check_closure() is None
 
-    hspan = span_of_tensors(h_tensors, degree=2)
     B = Matrix.from_columns([t.coords(2) for t in h_tensors])
 
     def on_bracket(x, y, images):

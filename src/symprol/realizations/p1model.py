@@ -26,7 +26,7 @@ from math import comb
 from ..scalars import ZERO, rat
 from ..linalg import Matrix, Subspace, basis_vector
 from ..structure import tabulate
-from .series import DEFAULT_TRUNC, PlaneVF, TruncSeries, poly2
+from .series import PlaneVF, TruncSeries, poly2
 from .plane import (conf_fields, euc_alpha_fields, euler_field, gl2aff_fields,
                     order_filtration, rotation_field, sl2aff_fields)
 from .p2model import ModelReport
@@ -34,15 +34,15 @@ from .p2model import ModelReport
 K2_BASES = ("sl2aff2", "gl2aff2", "conf", "euc")
 
 
-def base_fields(base: str, alpha=0, trunc=DEFAULT_TRUNC):
+def base_fields(base: str, alpha=0):
     if base == "sl2aff2":
-        return sl2aff_fields(trunc), ["d/dx", "d/dy", "H", "Y-", "Y+"]
+        return sl2aff_fields(), ["d/dx", "d/dy", "H", "Y-", "Y+"]
     if base == "gl2aff2":
-        return gl2aff_fields(trunc), ["d/dx", "d/dy", "x d/dx", "y d/dx", "x d/dy", "y d/dy"]
+        return gl2aff_fields(), ["d/dx", "d/dy", "x d/dx", "y d/dx", "x d/dy", "y d/dy"]
     if base == "conf":
-        return conf_fields(trunc), ["d/dx", "d/dy", "E", "J"]
+        return conf_fields(), ["d/dx", "d/dy", "E", "J"]
     if base == "euc":
-        return euc_alpha_fields(alpha, trunc), ["d/dx", "d/dy", "J_alpha"]
+        return euc_alpha_fields(alpha), ["d/dx", "d/dy", "J_alpha"]
     raise ValueError(f"base must be one of {K2_BASES}")
 
 
@@ -70,7 +70,7 @@ def triangle_nodes(k0: int, l0: int):
     return sorted(nodes)
 
 
-def _re_im_monomial(a: int, b: int, trunc):
+def _re_im_monomial(a: int, b: int):
     """Real and imaginary parts of z^a zbar^b as exact real polynomials."""
     re = {}
     im = {}
@@ -91,10 +91,10 @@ def _re_im_monomial(a: int, b: int, trunc):
                 re[key] = re.get(key, ZERO) - c
             else:
                 im[key] = im.get(key, ZERO) - c
-    return (TruncSeries(2, re, trunc), TruncSeries(2, im, trunc))
+    return (TruncSeries(2, re), TruncSeries(2, im))
 
 
-def triangle_real_basis(tops, trunc=DEFAULT_TRUNC):
+def triangle_real_basis(tops):
     """Real polynomial basis of the real form of the sum of the triangle
     modules with the given top nodes.
 
@@ -115,20 +115,20 @@ def triangle_real_basis(tops, trunc=DEFAULT_TRUNC):
         if l < 0:
             continue
         a, b = (k + l) // 2, (k - l) // 2
-        re, im = _re_im_monomial(a, b, trunc)
+        re, im = _re_im_monomial(a, b)
         basis.append(re)
         if l:
             basis.append(im)
     return basis
 
 
-def node_eigen_checks(k: int, l: int, trunc=DEFAULT_TRUNC):
+def node_eigen_checks(k: int, l: int):
     """E acts on the node pair by k and J by the rotation block for l:
     E(Re) = k Re, E(Im) = k Im, J(Re) = -l Im, J(Im) = l Re.  Returns True
     when the identities hold exactly."""
     a, b = (k + l) // 2, (k - l) // 2
-    re, im = _re_im_monomial(a, b, trunc)
-    E, J = euler_field(trunc), rotation_field(trunc)
+    re, im = _re_im_monomial(a, b)
+    E, J = euler_field(), rotation_field()
     kk, ll = rat(k), rat(l)
     return (E.apply(re) == re.scale(kk) and E.apply(im) == im.scale(kk)
             and J.apply(re) == im.scale(-ll) and J.apply(im) == re.scale(ll))
@@ -143,9 +143,9 @@ class K2Element:
 
     __slots__ = ("v", "f")
 
-    def __init__(self, v: PlaneVF = None, f: TruncSeries = None, trunc=DEFAULT_TRUNC):
-        self.v = v if v is not None else PlaneVF.zero(trunc)
-        self.f = f if f is not None else TruncSeries.zero(2, trunc)
+    def __init__(self, v: PlaneVF = None, f: TruncSeries = None):
+        self.v = v if v is not None else PlaneVF.zero()
+        self.f = f if f is not None else TruncSeries.zero(2)
         if self.f.constant_term():
             raise ValueError("polynomial part has no constant term")
 
@@ -202,16 +202,11 @@ class InvarianceError(ValueError):
                          f"leaves the span (residue {residue})")
 
 
-def nonconstant_polys_upto(k: int, trunc=DEFAULT_TRUNC):
-    out = []
-    for d in range(1, k + 1):
-        for ex in range(d, -1, -1):
-            out.append(poly2({(ex, d - ex): 1}, trunc))
-    return out
+def nonconstant_polys_upto(k: int):
+    return [poly2({e: 1}) for e in _poly_keys(k)[1:]]
 
 
-def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
-                xi_polys=None) -> ModelReport:
+def build_thmK2(base: str, k: int = None, tops=None, alpha=0, xi_polys=None) -> ModelReport:
     """g = gtilde + xi on the Lagrangian side.
 
     For the affine bases pass k (xi = nonconstant polynomials of degree <= k);
@@ -224,39 +219,38 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
     if base not in K2_BASES:
         raise ValueError(f"base must be one of {K2_BASES}")
     if xi_polys is not None:
-        trunc = trunc if trunc is not None else max(2 * max(f.degree() for f in xi_polys) + 2, 8)
-        xi = [TruncSeries(2, f.coeffs, trunc) for f in xi_polys]
+        xi = list(xi_polys)
         xi_labels = [f"xi{m+1}" for m in range(len(xi))]
         name = f"thmK2-{base}-custom"
     elif base in ("sl2aff2", "gl2aff2"):
         if k is None or k < 1:
             raise ValueError("affine bases need k >= 1")
-        trunc = trunc if trunc is not None else max(2 * k + 2, 8)
-        xi = nonconstant_polys_upto(k, trunc)
-        xi_labels = [f"x^{e[0]}y^{e[1]}" for d in range(1, k + 1)
-                     for e in [(ex, d - ex) for ex in range(d, -1, -1)]]
+        xi = nonconstant_polys_upto(k)
+        xi_labels = [f"x^{ex}y^{ey}" for ex, ey in _poly_keys(k)[1:]]
         name = f"thmK2-{base}-k{k}"
     else:
         if not tops:
             raise ValueError("conf/euc bases need triangle tops")
-        trunc = trunc if trunc is not None else max(2 * max(t[0] for t in tops) + 2, 8)
-        xi = triangle_real_basis(tops, trunc)
+        xi = triangle_real_basis(tops)
         xi_labels = [f"xi{m+1}" for m in range(len(xi))]
         name = f"thmK2-{base}-" + "+".join(f"W({a},{b})" for a, b in sorted(set(map(tuple, tops))))
         if base == "euc":
             name += f"-alpha={alpha}"
 
-    fields, flabels = base_fields(base, alpha, trunc)
-    xi_span = Subspace.from_vectors(_poly_matrix(xi, trunc), len(_poly_keys(trunc)))
+    fields, flabels = base_fields(base, alpha)
+    # the base fields have degree <= 1, so v(f) keeps within the degree of xi
+    maxdeg = max((f.degree() for f in xi), default=2)
+    keys = _poly_keys(max(2, maxdeg))
+    xi_span = Subspace.from_vectors([_poly_vector(f, keys) for f in xi], len(keys))
     for v, lab in zip(fields, flabels):
         for f in xi:
             img = v.apply(f).drop_constant()
-            vec = _poly_vector(img, trunc)
+            vec = _poly_vector(img, keys)
             if vec not in xi_span:
                 raise InvarianceError(lab, f, xi_span.reduce(vec))
 
-    elements = [K2Element(v=v, trunc=trunc) for v in fields]
-    elements += [K2Element(f=f, trunc=trunc) for f in xi]
+    elements = [K2Element(v=v) for v in fields]
+    elements += [K2Element(f=f) for f in xi]
     labels = flabels + xi_labels
     table = tabulate(elements, k2_bracket, lambda e: e.to_dict(), labels)
     jac = table.jacobi_violation()
@@ -264,7 +258,6 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
     ktilde = sum(1 for v in fields if v.value_at_origin() == (ZERO, ZERO))
     # dim(xi with the linear part killed) and dim(xi cap span(x^2, xy, y^2)),
     # computed on spans so any basis presentation of xi gives the same counts
-    keys = _poly_keys(trunc)
     lin_rows = [[f.coeffs.get(e, ZERO) for f in xi] for e in ((1, 0), (0, 1))]
     xi_high = len(xi) - Matrix(lin_rows, ncols=len(xi)).rank()
     deg2 = Subspace.from_vectors(
@@ -276,7 +269,6 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
 
     n = len(elements)
     ev_rows = [[k2_evaluation(e)[r] for e in elements] for r in range(4)]
-    maxdeg = max((f.degree() for f in xi), default=2)
     transitive, stability, ik, dims = order_filtration(
         elements, table, ev_rows, k2_component, maxdeg)
     return ModelReport(name, table, elements, n, len(fields) + len(xi), jac is None,
@@ -284,14 +276,10 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, trunc=None,
                        stability.dim - ik.dim, expected_iso, ik.dim, dims)
 
 
-def _poly_keys(trunc):
-    return [(ex, ey) for d in range(trunc + 1) for ex in range(d, -1, -1)
-            for ey in [d - ex]]
+def _poly_keys(degree):
+    """Exponents of total degree <= degree, by degree and then falling ex."""
+    return [(ex, d - ex) for d in range(degree + 1) for ex in range(d, -1, -1)]
 
 
-def _poly_vector(f: TruncSeries, trunc):
-    return [f.coeffs.get(e, ZERO) for e in _poly_keys(trunc)]
-
-
-def _poly_matrix(polys, trunc):
-    return [_poly_vector(f, trunc) for f in polys]
+def _poly_vector(f: TruncSeries, keys):
+    return [f.coeffs.get(e, ZERO) for e in keys]

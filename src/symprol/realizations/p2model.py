@@ -35,50 +35,38 @@ from dataclasses import dataclass
 
 from ..scalars import ZERO
 from ..structure import LieTable, tabulate
-from .series import DEFAULT_TRUNC, PlaneVF, TruncSeries, area_pairing, poly1
+from .series import PlaneVF, TruncSeries, area_pairing, poly1
 from .plane import PRIMITIVE_SYMPLECTIC, order_filtration
 
 
 class P2Element:
     """a(y) d/dy + sum_i y^i X_i + f(y), the model element."""
 
-    __slots__ = ("a", "xs", "f", "trunc")
+    __slots__ = ("a", "xs", "f")
 
-    def __init__(self, a: TruncSeries = None, xs: dict = None, f: TruncSeries = None,
-                 trunc: int = DEFAULT_TRUNC):
-        self.trunc = trunc
-        self.a = a if a is not None else TruncSeries.zero(1, trunc)
-        self.f = f if f is not None else TruncSeries.zero(1, trunc)
+    def __init__(self, a: TruncSeries = None, xs: dict = None, f: TruncSeries = None):
+        self.a = a if a is not None else TruncSeries.zero(1)
+        self.f = f if f is not None else TruncSeries.zero(1)
         if self.a.nvars != 1 or self.f.nvars != 1:
             raise ValueError("a and f are one-variable series")
         if self.f.constant_term():
             raise ValueError("the center part has no constant term")
-        self.xs = {}
-        for i, v in (xs or {}).items():
-            if not v.is_zero():
-                if i > trunc:
-                    continue
-                self.xs[i] = v
+        self.xs = {i: v for i, v in (xs or {}).items() if not v.is_zero()}
 
     @classmethod
-    def der(cls, pairs, trunc=DEFAULT_TRUNC):
+    def der(cls, pairs):
         """a(y) d/dy from {power: coeff}."""
-        return cls(a=poly1(pairs, trunc), trunc=trunc)
+        return cls(a=poly1(pairs))
 
     @classmethod
-    def field(cls, i: int, v: PlaneVF, trunc=DEFAULT_TRUNC):
-        return cls(xs={i: v}, trunc=trunc)
+    def field(cls, i: int, v: PlaneVF):
+        return cls(xs={i: v})
 
     @classmethod
-    def center(cls, pairs, trunc=DEFAULT_TRUNC):
-        return cls(f=poly1(pairs, trunc), trunc=trunc)
-
-    def _same(self, other):
-        if self.trunc != other.trunc:
-            raise ValueError("truncation degree mismatch")
+    def center(cls, pairs):
+        return cls(f=poly1(pairs))
 
     def __add__(self, other):
-        self._same(other)
         xs = dict(self.xs)
         for i, v in other.xs.items():
             w = xs.get(i)
@@ -87,17 +75,17 @@ class P2Element:
                 xs.pop(i, None)
             else:
                 xs[i] = s
-        return P2Element(self.a + other.a, xs, self.f + other.f, self.trunc)
+        return P2Element(self.a + other.a, xs, self.f + other.f)
 
     def __neg__(self):
-        return P2Element(-self.a, {i: -v for i, v in self.xs.items()}, -self.f, self.trunc)
+        return P2Element(-self.a, {i: -v for i, v in self.xs.items()}, -self.f)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         return P2Element(self.a.scale(c), {i: v.scale(c) for i, v in self.xs.items()},
-                         self.f.scale(c), self.trunc)
+                         self.f.scale(c))
 
     def is_zero(self):
         return self.a.is_zero() and self.f.is_zero() and not self.xs
@@ -128,13 +116,11 @@ class P2Element:
 
 def p2_bracket(e1: P2Element, e2: P2Element) -> P2Element:
     """The model bracket; antisymmetric and Jacobi-exact (see module doc)."""
-    e1._same(e2)
-    trunc = e1.trunc
     a = e1.a * e2.a.diff(0) - e2.a * e1.a.diff(0)
     xs = {}
 
     def add_x(i, v):
-        if v.is_zero() or i > trunc:
+        if v.is_zero():
             return
         w = xs.get(i)
         s = v if w is None else w + v
@@ -143,20 +129,19 @@ def p2_bracket(e1: P2Element, e2: P2Element) -> P2Element:
         else:
             xs[i] = s
 
-    f = TruncSeries.zero(1, trunc)
     # derivation part acting on the y-grading: [a d/dy, y^i X] = a (y^i)' X
     for i, v in e2.xs.items():
         if i:
-            prof = e1.a * poly1({i - 1: i}, trunc)
+            prof = e1.a * poly1({i - 1: i})
             for e, c in prof.coeffs.items():
                 add_x(e[0], v.scale(c))
     for i, v in e1.xs.items():
         if i:
-            prof = e2.a * poly1({i - 1: i}, trunc)
+            prof = e2.a * poly1({i - 1: i})
             for e, c in prof.coeffs.items():
                 add_x(e[0], v.scale(-c))
     # derivation part acting on the center, modulo constants
-    f = f + (e1.a * e2.f.diff(0) - e2.a * e1.f.diff(0)).drop_constant()
+    f = (e1.a * e2.f.diff(0) - e2.a * e1.f.diff(0)).drop_constant()
     # plane fields against plane fields, with the central correction
     for i, v in e1.xs.items():
         for j, w in e2.xs.items():
@@ -164,8 +149,8 @@ def p2_bracket(e1: P2Element, e2: P2Element) -> P2Element:
             if i + j > 0:
                 om = area_pairing(v, w)
                 if om:
-                    f = f + poly1({i + j: om}, trunc)
-    return P2Element(a, xs, f, trunc)
+                    f = f + poly1({i + j: om})
+    return P2Element(a, xs, f)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +221,7 @@ class ModelReport:
         return lines
 
 
-def build_thmK1(base: str, k: int, N: int = 0, trunc=None) -> ModelReport:
+def build_thmK1(base: str, k: int, N: int = 0) -> ModelReport:
     """Transitive, transversally primitive algebra over a primitive plane base.
 
     For the simple bases the family is aff(R) + gbar + span(y..y^k); for the
@@ -254,14 +239,13 @@ def build_thmK1(base: str, k: int, N: int = 0, trunc=None) -> ModelReport:
         raise ValueError("N applies only to the affine bases")
     if not simple and not 0 <= 2 * N <= k:
         raise ValueError("need 0 <= 2N <= k")
-    trunc = trunc if trunc is not None else max(2 * k + 2, 8)
 
-    elements = [P2Element.der({0: 1}, trunc), P2Element.der({1: 1}, trunc)]
+    elements = [P2Element.der({0: 1}), P2Element.der({1: 1})]
     labels = ["d/dy", "y d/dy"]
-    fields = PRIMITIVE_SYMPLECTIC[base](trunc)
+    fields = PRIMITIVE_SYMPLECTIC[base]()
     if simple:
         for m, v in enumerate(fields):
-            elements.append(P2Element.field(0, v, trunc))
+            elements.append(P2Element.field(0, v))
             labels.append(f"X{m+1}")
         bar_dim = 3
         stab_bar = 1  # one-dimensional isotropy of the plane base
@@ -269,16 +253,16 @@ def build_thmK1(base: str, k: int, N: int = 0, trunc=None) -> ModelReport:
         s_part = fields[2:]
         n_part = fields[:2]
         for m, v in enumerate(s_part):
-            elements.append(P2Element.field(0, v, trunc))
+            elements.append(P2Element.field(0, v))
             labels.append(f"S{m+1}")
         for i in range(N + 1):
             for m, v in enumerate(n_part):
-                elements.append(P2Element.field(i, v, trunc))
+                elements.append(P2Element.field(i, v))
                 labels.append(f"y^{i} T{m+1}" if i else f"T{m+1}")
         bar_dim = len(s_part) + 2 * (N + 1)
         stab_bar = len(s_part) + 2 * N
     for m in range(1, k + 1):
-        elements.append(P2Element.center({m: 1}, trunc))
+        elements.append(P2Element.center({m: 1}))
         labels.append(f"y^{m}")
 
     table = tabulate(elements, p2_bracket, lambda e: e.to_dict(), labels)

@@ -1,5 +1,7 @@
 """Finite-dimensional transitive Lie algebras of vector fields on the plane.
 
+Every field is an exact polynomial vector field (`PlaneVF`).
+
 The four primitive algebras of symplectic (area-preserving, for a suitable
 area form) vector fields:
 
@@ -12,7 +14,7 @@ area form) vector fields:
 
 sl2aff and euclid preserve the standard area form dx^dy (divergence zero);
 hyperbolic preserves dx^dy / (1+y)^2 and the sphere 4 dx^dy / (1+x^2+y^2)^2,
-which the tests verify as truncated series identities.
+which the tests verify as power series identities through a fixed degree.
 
 Also here: the larger (non-symplectic) primitive plane algebras used as
 bases of the semi-direct constructions on the Lagrangian side -- affine,
@@ -27,75 +29,71 @@ from dataclasses import dataclass
 from ..scalars import ZERO, as_rat
 from ..linalg import Matrix, Subspace, basis_vector
 from ..structure import LieTable, tabulate
-from .series import DEFAULT_TRUNC, PlaneVF
+from .series import PlaneVF
 
 
-def _vf(fx, fy, trunc=DEFAULT_TRUNC):
-    return PlaneVF.make(fx, fy, trunc)
+_vf = PlaneVF.make
 
 
-def hyperbolic_fields(trunc=DEFAULT_TRUNC):
+def hyperbolic_fields():
     """Moebius sl2(R): d/dx, x d/dx + (y+1) d/dy,
     (x^2-(y+1)^2) d/dx + 2x(y+1) d/dy."""
-    A = _vf({(0, 0): 1}, {}, trunc)
-    B = _vf({(1, 0): 1}, {(0, 1): 1, (0, 0): 1}, trunc)
-    C = _vf({(2, 0): 1, (0, 2): -1, (0, 1): -2, (0, 0): -1},
-            {(1, 1): 2, (1, 0): 2}, trunc)
+    A = _vf({(0, 0): 1}, {})
+    B = _vf({(1, 0): 1}, {(0, 1): 1, (0, 0): 1})
+    C = _vf({(2, 0): 1, (0, 2): -1, (0, 1): -2, (0, 0): -1}, {(1, 1): 2, (1, 0): 2})
     return [A, B, C]
 
 
-def sphere_fields(trunc=DEFAULT_TRUNC):
+def sphere_fields():
     """so3(R): -y d/dx + x d/dy, (1+x^2-y^2) d/dx + 2xy d/dy,
     2xy d/dx + (1-x^2+y^2) d/dy."""
-    J = _vf({(0, 1): -1}, {(1, 0): 1}, trunc)
-    B = _vf({(0, 0): 1, (2, 0): 1, (0, 2): -1}, {(1, 1): 2}, trunc)
-    C = _vf({(1, 1): 2}, {(0, 0): 1, (2, 0): -1, (0, 2): 1}, trunc)
+    J = _vf({(0, 1): -1}, {(1, 0): 1})
+    B = _vf({(0, 0): 1, (2, 0): 1, (0, 2): -1}, {(1, 1): 2})
+    C = _vf({(1, 1): 2}, {(0, 0): 1, (2, 0): -1, (0, 2): 1})
     return [J, B, C]
 
 
-def sl2aff_fields(trunc=DEFAULT_TRUNC):
+def sl2aff_fields():
     """sl2(R) + R^2: translations and the traceless linear fields."""
-    return [_vf({(0, 0): 1}, {}, trunc), _vf({}, {(0, 0): 1}, trunc),
-            _vf({(1, 0): 1}, {(0, 1): -1}, trunc),
-            _vf({(0, 1): 1}, {}, trunc), _vf({}, {(1, 0): 1}, trunc)]
+    return [_vf({(0, 0): 1}, {}), _vf({}, {(0, 0): 1}),
+            _vf({(1, 0): 1}, {(0, 1): -1}),
+            _vf({(0, 1): 1}, {}), _vf({}, {(1, 0): 1})]
 
 
-def euclid_fields(trunc=DEFAULT_TRUNC):
+def euclid_fields():
     """R + R^2: translations and the rotation."""
-    return [_vf({(0, 0): 1}, {}, trunc), _vf({}, {(0, 0): 1}, trunc),
-            _vf({(0, 1): -1}, {(1, 0): 1}, trunc)]
+    return [_vf({(0, 0): 1}, {}), _vf({}, {(0, 0): 1}), _vf({(0, 1): -1}, {(1, 0): 1})]
 
 
-def gl2aff_fields(trunc=DEFAULT_TRUNC):
+def gl2aff_fields():
     """gl2(R) + R^2, the full affine algebra."""
-    return [_vf({(0, 0): 1}, {}, trunc), _vf({}, {(0, 0): 1}, trunc),
-            _vf({(1, 0): 1}, {}, trunc), _vf({(0, 1): 1}, {}, trunc),
-            _vf({}, {(1, 0): 1}, trunc), _vf({}, {(0, 1): 1}, trunc)]
+    return [_vf({(0, 0): 1}, {}), _vf({}, {(0, 0): 1}),
+            _vf({(1, 0): 1}, {}), _vf({(0, 1): 1}, {}),
+            _vf({}, {(1, 0): 1}), _vf({}, {(0, 1): 1})]
 
 
-def euler_field(trunc=DEFAULT_TRUNC) -> PlaneVF:
+def euler_field() -> PlaneVF:
     """E = x d/dx + y d/dy."""
-    return _vf({(1, 0): 1}, {(0, 1): 1}, trunc)
+    return _vf({(1, 0): 1}, {(0, 1): 1})
 
 
-def rotation_field(trunc=DEFAULT_TRUNC) -> PlaneVF:
+def rotation_field() -> PlaneVF:
     """J = x d/dy - y d/dx."""
-    return _vf({(0, 1): -1}, {(1, 0): 1}, trunc)
+    return _vf({(0, 1): -1}, {(1, 0): 1})
 
 
-def conf_fields(trunc=DEFAULT_TRUNC):
+def conf_fields():
     """conf(R^2) = span(d/dx, d/dy, E, J)."""
-    return [_vf({(0, 0): 1}, {}, trunc), _vf({}, {(0, 0): 1}, trunc),
-            euler_field(trunc), rotation_field(trunc)]
+    return [_vf({(0, 0): 1}, {}), _vf({}, {(0, 0): 1}), euler_field(), rotation_field()]
 
 
-def euc_alpha_fields(alpha, trunc=DEFAULT_TRUNC):
+def euc_alpha_fields(alpha):
     """euc_alpha(R^2) = span(d/dx, d/dy, alpha E - J), alpha >= 0."""
     a = as_rat(alpha)
     if a < 0:
         raise ValueError("alpha must be >= 0")
-    Ja = euler_field(trunc).scale(a) - rotation_field(trunc)
-    return [_vf({(0, 0): 1}, {}, trunc), _vf({}, {(0, 0): 1}, trunc), Ja]
+    Ja = euler_field().scale(a) - rotation_field()
+    return [_vf({(0, 0): 1}, {}), _vf({}, {(0, 0): 1}), Ja]
 
 
 PRIMITIVE_SYMPLECTIC = {
@@ -131,8 +129,8 @@ class PlaneFiltration:
         return out
 
 
-def plane_table(fields, labels=None) -> LieTable:
-    return tabulate(fields, lambda a, b: a.bracket(b), lambda v: v.to_dict(), labels)
+def plane_table(fields) -> LieTable:
+    return tabulate(fields, lambda a, b: a.bracket(b), lambda v: v.to_dict())
 
 
 def order_filtration(elements, table: LieTable, ev_rows, component, max_degree):
@@ -160,11 +158,11 @@ def order_filtration(elements, table: LieTable, ev_rows, component, max_degree):
     return transitive, stability, isotropy_kernel(table, stability), dims
 
 
-def order_filtration_plane(fields, labels=None) -> PlaneFiltration:
+def order_filtration_plane(fields) -> PlaneFiltration:
     """Filtration by vanishing order at the origin, transitivity and the
     linear isotropy of span(fields).  The homogeneous part of polynomial
     degree r of a field is its component of degree r - 1."""
-    table = plane_table(fields, labels)
+    table = plane_table(fields)
     ev_rows = [[f.value_at_origin()[r] for f in fields] for r in range(2)]
     maxdeg = max((f.degree() for f in fields), default=0)
     transitive, stability, iso_kernel, dims = order_filtration(

@@ -1,10 +1,9 @@
-"""Truncated formal power series and polynomial vector fields on the plane.
+"""Exact sparse polynomials and polynomial vector fields on the plane.
 
-Series are sparse exponent -> coefficient maps in one or two variables with
-a hard truncation degree; all ring operations truncate consistently, so a
-computation whose exact result stays below the truncation degree is exact.
+Polynomials are sparse exponent -> coefficient maps in one or two variables
+with exact coefficients; every ring operation is exact, with no degree cap.
 The finite-dimensional algebras built downstream are polynomial of bounded
-degree, which keeps every bracket and Jacobi check free of truncation error.
+degree, so every bracket and Jacobi check is an exact identity.
 """
 
 from __future__ import annotations
@@ -12,35 +11,27 @@ from __future__ import annotations
 from ..scalars import ZERO, as_rat, fmt_scalar
 from ..linalg import Matrix
 
-DEFAULT_TRUNC = 16
-
 
 class TruncSeries:
-    """Sparse truncated series in 1 or 2 variables with exact coefficients."""
+    """Exact sparse polynomial in 1 or 2 variables."""
 
-    __slots__ = ("nvars", "trunc", "coeffs")
+    __slots__ = ("nvars", "coeffs")
 
-    def __init__(self, nvars: int, coeffs=None, trunc: int = DEFAULT_TRUNC):
+    def __init__(self, nvars: int, coeffs=None):
         if nvars not in (1, 2):
-            raise ValueError("series support 1 or 2 variables")
+            raise ValueError("polynomials support 1 or 2 variables")
         self.nvars = nvars
-        self.trunc = trunc
         self.coeffs = {}
         for e, c in (coeffs or {}).items():
             e = (e,) if isinstance(e, int) else tuple(e)
             if len(e) != nvars:
                 raise ValueError("exponent arity mismatch")
-            if c and sum(e) <= trunc:
+            if c:
                 self.coeffs[e] = c
 
     @classmethod
-    def zero(cls, nvars, trunc=DEFAULT_TRUNC):
-        return cls(nvars, {}, trunc)
-
-    @classmethod
-    def one_var(cls, pairs, trunc=DEFAULT_TRUNC):
-        """Series in y from {power: coeff} with int coefficients allowed."""
-        return cls(1, {(m,): as_rat(c) for m, c in pairs.items()}, trunc)
+    def zero(cls, nvars):
+        return cls(nvars)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -51,8 +42,6 @@ class TruncSeries:
     def _same(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        if self.trunc != other.trunc:
-            raise ValueError("truncation degree mismatch")
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries) and self.nvars == other.nvars
@@ -67,18 +56,18 @@ class TruncSeries:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return TruncSeries(self.nvars, out, self.trunc)
+        return TruncSeries(self.nvars, out)
 
     def __neg__(self):
-        return TruncSeries(self.nvars, {e: -c for e, c in self.coeffs.items()}, self.trunc)
+        return TruncSeries(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         if not c:
-            return TruncSeries.zero(self.nvars, self.trunc)
-        return TruncSeries(self.nvars, {e: c * v for e, v in self.coeffs.items()}, self.trunc)
+            return TruncSeries.zero(self.nvars)
+        return TruncSeries(self.nvars, {e: c * v for e, v in self.coeffs.items()})
 
     def __mul__(self, other):
         self._same(other)
@@ -86,14 +75,12 @@ class TruncSeries:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > self.trunc:
-                    continue
                 s = out.get(e, ZERO) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return TruncSeries(self.nvars, out, self.trunc)
+        return TruncSeries(self.nvars, out)
 
     def diff(self, var: int = 0):
         out = {}
@@ -103,7 +90,7 @@ class TruncSeries:
             ne = list(e)
             ne[var] -= 1
             out[tuple(ne)] = c * e[var]
-        return TruncSeries(self.nvars, out, self.trunc)
+        return TruncSeries(self.nvars, out)
 
     def constant_term(self):
         return self.coeffs.get((0,) * self.nvars, ZERO)
@@ -111,11 +98,10 @@ class TruncSeries:
     def drop_constant(self):
         out = dict(self.coeffs)
         out.pop((0,) * self.nvars, None)
-        return TruncSeries(self.nvars, out, self.trunc)
+        return TruncSeries(self.nvars, out)
 
     def homogeneous_part(self, d: int):
-        return TruncSeries(self.nvars, {e: c for e, c in self.coeffs.items() if sum(e) == d},
-                           self.trunc)
+        return TruncSeries(self.nvars, {e: c for e, c in self.coeffs.items() if sum(e) == d})
 
     def __str__(self):
         if not self.coeffs:
@@ -132,34 +118,34 @@ class TruncSeries:
     __repr__ = __str__
 
 
-def poly1(pairs, trunc=DEFAULT_TRUNC) -> TruncSeries:
-    return TruncSeries.one_var(pairs, trunc)
+def poly1(pairs) -> TruncSeries:
+    """Polynomial in y from {power: coeff}."""
+    return TruncSeries(1, {(m,): as_rat(c) for m, c in pairs.items()})
 
 
-def poly2(pairs, trunc=DEFAULT_TRUNC) -> TruncSeries:
+def poly2(pairs) -> TruncSeries:
     """Two-variable polynomial from {(ex, ey): coeff}."""
-    return TruncSeries(2, {e: as_rat(c) for e, c in pairs.items()}, trunc)
+    return TruncSeries(2, {e: as_rat(c) for e, c in pairs.items()})
 
 
 class PlaneVF:
-    """Vector field fx d/dx + fy d/dy with truncated-series coefficients."""
+    """Vector field fx d/dx + fy d/dy with polynomial coefficients."""
 
     __slots__ = ("fx", "fy")
 
     def __init__(self, fx: TruncSeries, fy: TruncSeries):
         if fx.nvars != 2 or fy.nvars != 2:
             raise ValueError("plane fields need two-variable coefficients")
-        fx._same(fy)
         self.fx = fx
         self.fy = fy
 
     @classmethod
-    def make(cls, fx_pairs, fy_pairs, trunc=DEFAULT_TRUNC):
-        return cls(poly2(fx_pairs, trunc), poly2(fy_pairs, trunc))
+    def make(cls, fx_pairs, fy_pairs):
+        return cls(poly2(fx_pairs), poly2(fy_pairs))
 
     @classmethod
-    def zero(cls, trunc=DEFAULT_TRUNC):
-        return cls(TruncSeries.zero(2, trunc), TruncSeries.zero(2, trunc))
+    def zero(cls):
+        return cls(TruncSeries.zero(2), TruncSeries.zero(2))
 
     def __eq__(self, other):
         return isinstance(other, PlaneVF) and self.fx == other.fx and self.fy == other.fy
@@ -180,7 +166,7 @@ class PlaneVF:
         return PlaneVF(self.fx.scale(c), self.fy.scale(c))
 
     def bracket(self, other: "PlaneVF") -> "PlaneVF":
-        """[V, W] = V(W) - W(V), componentwise exact up to truncation."""
+        """[V, W] = V(W) - W(V), componentwise and exact."""
         gx = (self.fx * other.fx.diff(0) + self.fy * other.fx.diff(1)
               - other.fx * self.fx.diff(0) - other.fy * self.fx.diff(1))
         gy = (self.fx * other.fy.diff(0) + self.fy * other.fy.diff(1)

@@ -175,6 +175,14 @@ def test_realize_commands(capsys):
     assert code == 2
 
 
+def test_realize_has_no_truncation_option(capsys):
+    # the models are exact polynomials; a degree cap is not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "thmK1", "--base", "sphere", "--k", "2", "--trunc", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trunc 3" in capsys.readouterr().err
+
+
 def test_fedosov_command(tmp_path, capsys):
     alg = tmp_path / "heis.alg"
     alg.write_text("dim 4\n[1,2] = 1 * e3\nomega(1,3) = 1\nomega(2,4) = 1\n")

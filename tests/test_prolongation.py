@@ -14,8 +14,8 @@ from symprol.prolongation import (DEFAULT_GRID, FINITE, INFINITE, LinearSubalgeb
                                   prolong_step, finite_type_verdict, rank_one_witness,
                                   span_of_tensors, is_subalgebra, subspace_tensors,
                                   tensor_rank, witness_grid, _is_rank_one, _nonzero_minor,
-                                  _pencil, _rank_one_points, _s2p_pair_witness, _sym_matrix,
-                                  s2p_discriminant)
+                                  _pencil, _rank_one_points, _s2p_monomials, _s2p_pair_witness,
+                                  _s2p_part, _sym_matrix, s2p_discriminant)
 
 from conftest import assert_same_typed_rows, random_rat, random_tensor
 
@@ -490,6 +490,34 @@ def test_rank_one_witness_on_sp_z_conjugates_like_reference(n):
         h = LinearSubalgebra(space, tensors)
         assert h.check_closure() is None
         _assert_same_search(space, h.subspace)
+
+
+def test_s2p_part_is_the_zassenhaus_intersection(V):
+    # the kernel read-off gives the same canonical subspace, entry types
+    # included, as the Zassenhaus intersection with the complexified S^2(P)
+    s2p = Subspace.from_vectors([SymTensor(V, {m: ONE}).coords(2) for m in _s2p_monomials(V)],
+                                dim_sym(2, 2)).complexify()
+    rng = random.Random(41)
+    spans = _closed_spans(2) + [catalog.get(name).instantiate().basis_tensors()
+                                for name in ("sp", "s1", "p1", "p2", "heisW", "s2P", "glP")]
+    spans += [_sp_z_conjugate(rng, V, gens) for gens in spans]
+    for case in range(40):
+        # a random part of S^2(P) hidden among random quadrics
+        inside = [random_tensor(rng, V, 2, terms=2, gaussian=case % 2)
+                  for _ in range(rng.randint(1, 3))]
+        inside = [SymTensor(V, {m: c for m, c in t.coeffs.items() if m in _s2p_monomials(V)})
+                  for t in inside]
+        spans.append([t for t in inside if not t.is_zero()] +
+                     [random_tensor(rng, V, 2, terms=3, gaussian=case % 3 == 0)
+                      for _ in range(rng.randint(1, 3))])
+    dims = set()
+    for gens in spans:
+        csub = span_of_tensors(gens, degree=2).complexify()
+        part, want = _s2p_part(V, csub), csub.intersect(s2p)
+        assert part == want
+        assert_same_typed_rows(part.basis, want.basis)
+        dims.add(part.dim)
+    assert dims == {0, 1, 2, 3}
 
 
 def test_rank_one_witness_custom_grid_like_reference():

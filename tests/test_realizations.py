@@ -26,11 +26,15 @@ def test_series_ring_ops():
     assert (a - a).is_zero()
 
 
-def test_series_truncation_consistency():
-    a = poly2({(3, 0): 1}, trunc=4)
-    b = poly2({(2, 0): 1}, trunc=4)
-    assert (a * b).is_zero()          # degree 5 > 4 is dropped
-    assert TruncSeries(2, {(5, 0): rat(1)}, trunc=4).is_zero()
+def test_polynomial_products_keep_every_degree():
+    # polynomials are exact: no degree cap drops the top terms
+    a = poly2({(9, 0): 1, (0, 1): 1})
+    b = poly2({(0, 9): 2, (1, 0): -1})
+    assert (a * b).coeffs == poly2({(9, 9): 2, (10, 0): -1, (0, 10): 2, (1, 1): -1}).coeffs
+    assert (a * b).degree() == 18
+    y = poly1({9: 1})
+    assert (y * y).coeffs == {(18,): rat(1)}
+    assert TruncSeries(2, {(40, 0): rat(1)}).degree() == 40
 
 
 def test_plane_bracket_matches_hand_case():
@@ -56,22 +60,22 @@ def test_divergence_free_bases():
 
 
 def test_curved_bases_preserve_their_area_forms():
-    # hyperbolic: rho = (1+y)^-2; sphere: rho = (1+x^2+y^2)^-2, as truncated
-    # series through total degree D-2 with D >= 6
+    # hyperbolic: rho = (1+y)^-2; sphere: rho = (1+x^2+y^2)^-2, as power
+    # series cut off beyond degree D; L_v rho is exact through degree D-2
     D = 10
-    rho_h = poly2({(0, k): rat((-1) ** k * (k + 1)) for k in range(D + 1)}, trunc=D)
-    for f in hyperbolic_fields(trunc=D):
+    rho_h = poly2({(0, k): rat((-1) ** k * (k + 1)) for k in range(D + 1)})
+    for f in hyperbolic_fields():
         ld = lie_derivative_of_area(f, rho_h)
         assert not any(c for e, c in ld.coeffs.items() if sum(e) <= D - 2)
-    one = poly2({(0, 0): 1}, trunc=D)
-    r2 = poly2({(2, 0): 1, (0, 2): 1}, trunc=D)
+    one = poly2({(0, 0): 1})
+    r2 = poly2({(2, 0): 1, (0, 2): 1})
     inv = one
     term = one
     for _ in range(D):
         term = term * (-r2)
         inv = inv + term
     rho_s = inv * inv
-    for f in sphere_fields(trunc=D):
+    for f in sphere_fields():
         ld = lie_derivative_of_area(f, rho_s)
         assert not any(c for e, c in ld.coeffs.items() if sum(e) <= D - 2)
 
