@@ -163,7 +163,7 @@ def cmd_fedosov(args) -> int:
                         print(f"{label} e{i+1} e{j+1} = {terms}")
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                R = fed.curvature_direct(rep.nabla, g.basis_vector(i), g.basis_vector(j))
+                R = rep.curvature[i, j]
                 for a in range(g.n):
                     for b in range(g.n):
                         if R[a, b]:

@@ -144,18 +144,12 @@ def lsa_from_symplectic(g: SymplecticLieAlgebra) -> LSAProduct:
     n = g.n
     basis = [g.basis_vector(i) for i in range(n)]
     OmT = g.omega.transpose()   # solve omega(v, e_k) = rhs_k, i.e. Om^T v = rhs
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            rhs = []
-            for k in range(n):
-                br = g.table.bracket_coords(basis[i], basis[k])
-                rhs.append(-g.omega_of(basis[j], br))
-            sol = OmT.solve(rhs)
-            if sol is None:
-                raise ValueError("omega system inconsistent (cannot happen when omega is invertible)")
-            table[(i, j)] = tuple(sol)
-    return LSAProduct(g, table)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    sols = OmT.solve_many([[-g.omega_of(basis[j], g.table.bracket_coords(basis[i], basis[k]))
+                            for k in range(n)] for i, j in pairs])
+    if None in sols:
+        raise ValueError("omega system inconsistent (cannot happen when omega is invertible)")
+    return LSAProduct(g, dict(zip(pairs, sols)))
 
 
 def check_left_symmetric(p: LSAProduct) -> Verdict:
@@ -213,18 +207,15 @@ def connection(p: LSAProduct) -> ConnectionTable:
     g = p.g
     n = g.n
     basis = [g.basis_vector(i) for i in range(n)]
-    OmT = g.omega.transpose()
-    for i in range(n):
-        for j in range(n):
-            rhs = []
-            for k in range(n):
-                xy = p.prod(basis[i], basis[j])
-                xz = p.prod(basis[i], basis[k])
-                rhs.append(-g.omega_of(xy, basis[k]) - g.omega_of(basis[j], xz))
-            Nij = OmT.solve(rhs)
-            minus_yx = tuple(-c for c in p.prod(basis[j], basis[i]))
-            if tuple(Nij) != minus_yx:
-                raise AssertionError("N(x,y) != -yx; omega data inconsistent")
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    rhss = []
+    for i, j in pairs:
+        xy = p.prod(basis[i], basis[j])
+        rhss.append([-g.omega_of(xy, basis[k]) - g.omega_of(basis[j], p.prod(basis[i], basis[k]))
+                     for k in range(n)])
+    for (i, j), Nij in zip(pairs, g.omega.transpose().solve_many(rhss)):
+        if Nij != tuple(-c for c in p.prod(basis[j], basis[i])):
+            raise AssertionError("N(x,y) != -yx; omega data inconsistent")
     return ct
 
 
@@ -284,25 +275,31 @@ def ricci_closed(p: LSAProduct) -> Matrix:
         row = []
         for j in range(n):
             Lxy = p.left_mult(p.prod(basis[i], basis[j]))
-            row.append(rat(1, 9) * (Lxy.trace() + (L[i] @ L[j]).trace()))
+            row.append(rat(1, 9) * (Lxy.trace() + L[i].trace_product(L[j])))
         out.append(row)
     return Matrix(out)
 
 
-def ricci_trace_of_curvature(ct: ConnectionTable) -> Matrix:
-    """ric(x,y) = tr( z -> R(x,z) y ), so ric(e_i, e_j) is the sum over k of
-    R(e_i, e_k)[k, j]; each R(e_i, e_k) is built once."""
-    g = ct.g
-    n = g.n
-    basis = [g.basis_vector(i) for i in range(n)]
+def curvature_matrices(ct: ConnectionTable) -> dict:
+    """(i, k) -> R(e_i, e_k) for every basis pair, each built once."""
+    basis = [ct.g.basis_vector(i) for i in range(ct.g.n)]
+    return {(i, k): curvature_direct(ct, x, y)
+            for i, x in enumerate(basis) for k, y in enumerate(basis)}
+
+
+def _ricci_trace(curv: dict, n: int) -> Matrix:
+    """ric(e_i, e_j) = sum over k of R(e_i, e_k)[k, j], from curvature_matrices."""
     out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            R = curvature_direct(ct, basis[i], basis[k])
-            for j in range(n):
-                if R[k, j]:
-                    out[i][j] = out[i][j] + R[k, j]
+    for (i, k), R in curv.items():
+        for j in range(n):
+            if R[k, j]:
+                out[i][j] = out[i][j] + R[k, j]
     return Matrix(out)
+
+
+def ricci_trace_of_curvature(ct: ConnectionTable) -> Matrix:
+    """ric(x,y) = tr( z -> R(x,z) y )."""
+    return _ricci_trace(curvature_matrices(ct), ct.g.n)
 
 
 def trace_identities(p: LSAProduct) -> Verdict:
@@ -333,19 +330,19 @@ def trace_identities(p: LSAProduct) -> Verdict:
                     failures.append(f"identity 2 fails on ({i},{j},{k})")
     for i in range(n):
         for j in range(n):
-            rr = (R[i] @ R[j]).trace()
+            rr = R[i].trace_product(R[j])
             rxy = p.right_mult(p.prod(basis[i], basis[j])).trace()
             lxy = p.left_mult(p.prod(basis[i], basis[j])).trace()
             if rr != rxy or rxy != 2 * lxy:
                 failures.append(f"identity 3 fails on ({i},{j})")
-            if rr != 2 * (R[j] @ L[i]).trace() or rr != 2 * (R[i] @ L[j]).trace():
+            if rr != 2 * R[j].trace_product(L[i]) or rr != 2 * R[i].trace_product(L[j]):
                 failures.append(f"identity 4 fails on ({i},{j})")
     return Verdict(not failures, failures)
 
 
 def _trace_form(mats) -> Matrix:
     """tr(A_i A_j) for the matrices A_i of the basis elements."""
-    return Matrix([[(a @ b).trace() for b in mats] for a in mats])
+    return Matrix([[a.trace_product(b) for b in mats] for a in mats])
 
 
 def left_trace_form(p: LSAProduct) -> Matrix:
@@ -710,6 +707,7 @@ class FedosovReport:
     structure: StructureReport
     product: LSAProduct
     nabla: ConnectionTable
+    curvature: dict   # (i, k) -> R(e_i, e_k)
 
     @property
     def ok(self) -> bool:
@@ -740,14 +738,16 @@ def fedosov_report(g: SymplecticLieAlgebra) -> FedosovReport:
     ct = connection(p)
     conn_v = check_connection(ct)
     basis = [g.basis_vector(i) for i in range(g.n)]
-    curv_ok = all(curvature_direct(ct, basis[i], basis[j]) == curvature_closed(p, basis[i], basis[j])
-                  for i in range(g.n) for j in range(g.n))
+    curv = curvature_matrices(ct)
+    # both formulas are antisymmetric in (x, y) and zero on the diagonal
+    curv_ok = all(curv[i, j] == curvature_closed(p, basis[i], basis[j])
+                  for i in range(g.n) for j in range(i + 1, g.n))
     ric_c = ricci_closed(p)
-    ric_t = ricci_trace_of_curvature(ct)
+    ric_t = _ricci_trace(curv, g.n)
     ric_sym = all(ric_c[i, j] == ric_c[j, i] for i in range(g.n) for j in range(g.n))
     if not ric_sym:
         raise AssertionError("Ricci matrix is not symmetric")
     ids = trace_identities(p)
     st = structure_tests(g, p)
     return FedosovReport(g.name, sym, lsa_v, conn_v, curv_ok, ric_c == ric_t,
-                         ric_c, ids, st, p, ct)
+                         ric_c, ids, st, p, ct, curv)

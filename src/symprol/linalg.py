@@ -10,6 +10,8 @@ updated only where the normalized pivot row is nonzero.  Its results,
 including the type of every entry (rational or GScalar), are those of
 dense Gauss-Jordan elimination, because the type is printed: an entry
 becomes a GScalar exactly when the dense update a - f * b would make it one.
+``solve_many`` eliminates a fixed matrix once for all its right-hand sides;
+``trace_product`` gives tr(A B) in O(n^2) without forming A B.
 """
 
 from __future__ import annotations
@@ -186,6 +188,21 @@ class Matrix:
         return Matrix([[self.entries[i][j] for i in range(self.nrows)]
                        for j in range(self.ncols)], ncols=self.nrows)
 
+    def trace_product(self, other):
+        """tr(self @ other) in O(n^2): the diagonal of the product only, with
+        the same zero, skipped entries and order of sums as @ and trace."""
+        if self.ncols != other.nrows or self.nrows != other.ncols:
+            raise ValueError("shape mismatch")
+        z = zero_like(self.entries)
+        s = ZERO
+        for i, row in enumerate(self.entries):
+            d = z
+            for k, a in enumerate(row):
+                if a:
+                    d = d + a * other.entries[k][i]
+            s = s + d
+        return s
+
     def trace(self):
         if self.nrows != self.ncols:
             raise ValueError("trace of non-square matrix")
@@ -213,14 +230,28 @@ class Matrix:
 
     def solve(self, rhs):
         """One solution of M x = rhs, or None if inconsistent."""
-        aug = [list(row) + [b] for row, b in zip(self.entries, rhs)]
-        red, pivots = rref(aug, self.ncols + 1)
-        if self.ncols in pivots:
-            return None
-        x = [ZERO] * self.ncols
-        for r, p in enumerate(pivots):
-            x[p] = red[r][self.ncols]
-        return tuple(x)
+        return self.solve_many([rhs])[0]
+
+    def solve_many(self, rhss):
+        """solve(b) for each b in rhss, from one RREF of [M | b_1 ... b_m].
+
+        b_k is consistent iff every reduced row whose pivot lies right of M
+        is zero in b_k's column; those rows then leave that column alone, so
+        its values are the ones a single solve reads."""
+        n = self.ncols
+        aug = [list(row) + list(bs) for row, bs in zip(self.entries, zip(*rhss))]
+        red, pivots = rref(aug, n + len(rhss))
+        rank = sum(1 for p in pivots if p < n)
+        out = []
+        for c in range(n, n + len(rhss)):
+            x = None
+            if not any(row[c] for row in red[rank:]):
+                x = [ZERO] * n
+                for row, p in zip(red, pivots[:rank]):
+                    x[p] = row[c]
+                x = tuple(x)
+            out.append(x)
+        return out
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)

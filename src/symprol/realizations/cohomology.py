@@ -107,17 +107,16 @@ def bracket_action_matrices(h_tensors, module_tensors):
     deg = module_tensors[0].degree
     sub = span_of_tensors(module_tensors, degree=deg)
     B = Matrix.from_columns([t.coords(deg) for t in module_tensors])
-    mats = []
+    images = []
     for x in h_tensors:
-        cols = []
         for t in module_tensors:
-            img = poisson_bracket(x, t)
-            vec = img.coords(deg)
+            vec = poisson_bracket(x, t).coords(deg)
             if vec not in sub:
                 raise ValueError(f"module is not invariant: [{x}, {t}] leaves the span")
-            cols.append(B.solve(list(vec)))
-        mats.append(Matrix.from_columns(cols))
-    return mats
+            images.append(vec)
+    cols = B.solve_many(images)
+    m = len(module_tensors)
+    return [Matrix.from_columns(cols[a * m:(a + 1) * m]) for a in range(len(h_tensors))]
 
 
 @dataclass

@@ -247,7 +247,8 @@ def build_thmK2(base: str, k: int = None, tops=None, alpha=0, xi_polys=None) -> 
             img = v.apply(f).drop_constant()
             vec = _poly_vector(img, keys)
             if vec not in xi_span:
-                raise InvarianceError(lab, f, xi_span.reduce(vec))
+                residue = zip(keys, xi_span.reduce(vec))
+                raise InvarianceError(lab, f, poly2({e: c for e, c in residue if c}))
 
     elements = [K2Element(v=v) for v in fields]
     elements += [K2Element(f=f) for f in xi]

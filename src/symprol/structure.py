@@ -148,16 +148,12 @@ def tabulate(elements, bracket: Callable, to_dict: Callable, labels=None) -> Lie
             pair_values[(i, j)] = b
             keys.update(b)
     keyorder = sorted(keys)
-    kpos = {k: r for r, k in enumerate(keyorder)}
     B = Matrix([[dicts[c].get(k, ZERO) for c in range(n)] for k in keyorder], ncols=n)
     if B.rank() != n:
         raise ValueError("elements are not linearly independent")
+    sols = B.solve_many([[bd.get(k, ZERO) for k in keyorder] for bd in pair_values.values()])
     table = {}
-    for (i, j), bd in pair_values.items():
-        rhs = [ZERO] * len(keyorder)
-        for k, v in bd.items():
-            rhs[kpos[k]] = v
-        sol = B.solve(rhs)
+    for (i, j), sol in zip(pair_values, sols):
         if sol is None:
             raise ClosureError(i, j, labels)
         row = {k: c for k, c in enumerate(sol) if c}

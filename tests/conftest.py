@@ -1,7 +1,8 @@
 import pytest
 
+from symprol.linalg import rref
 from symprol.weyl import SymplecticSpace, SymTensor, monomial_basis, parse_tensor
-from symprol.scalars import rat, GScalar
+from symprol.scalars import rat, GScalar, ZERO
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,16 @@ def assert_same_typed_rows(got, want):
     shows rationals and GScalars differently)."""
     assert list(got) == list(want)
     assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in want]
+
+
+def reference_solve(m, rhs):
+    """Reference: one RREF of [M | rhs] per right-hand side, inconsistent
+    iff the rhs column holds a pivot."""
+    aug = [list(row) + [b] for row, b in zip(m.entries, rhs)]
+    red, pivots = rref(aug, m.ncols + 1)
+    if m.ncols in pivots:
+        return None
+    x = [ZERO] * m.ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][m.ncols]
+    return tuple(x)

@@ -102,6 +102,50 @@ def test_curvature_both_routes_agree(algs):
                 assert F.curvature_direct(ct, x, y) == F.curvature_closed(p, x, y), g.name
 
 
+def test_curvature_is_antisymmetric_on_both_routes(algs):
+    # why fedosov_report compares the two routes only on pairs i < k
+    for g in algs.values():
+        p = F.lsa_from_symplectic(g)
+        ct = F.connection(p)
+        for i in range(g.n):
+            for k in range(i, g.n):
+                x, y = g.basis_vector(i), g.basis_vector(k)
+                for route, arg in ((F.curvature_direct, ct), (F.curvature_closed, p)):
+                    assert route(arg, y, x) == -route(arg, x, y), (g.name, route)
+                    assert i < k or route(arg, x, y).is_zero()
+
+
+def test_report_builds_each_curvature_once(algs, monkeypatch):
+    calls = []
+    direct = F.curvature_direct
+
+    def counted(ct, x, y):
+        calls.append((x, y))
+        return direct(ct, x, y)
+
+    monkeypatch.setattr(F, "curvature_direct", counted)
+    g = algs["n4"]
+    rep = F.fedosov_report(g)
+    assert len(calls) == g.n ** 2
+    assert sorted(rep.curvature) == [(i, k) for i in range(g.n) for k in range(g.n)]
+    for (i, k), R in rep.curvature.items():
+        assert R == direct(rep.nabla, g.basis_vector(i), g.basis_vector(k))
+
+
+def test_report_compares_every_pair_above_the_diagonal(algs, monkeypatch):
+    g = algs["n4"]
+    closed = F.curvature_closed
+    for i in range(g.n):
+        for k in range(i + 1, g.n):
+            def off(p, x, y, bad=(g.basis_vector(i), g.basis_vector(k))):
+                R = closed(p, x, y)
+                return R + Matrix.identity(g.n) if (x, y) == bad else R
+            monkeypatch.setattr(F, "curvature_closed", off)
+            assert not F.fedosov_report(g).curvature_match, (i, k)
+    monkeypatch.setattr(F, "curvature_closed", closed)
+    assert F.fedosov_report(g).curvature_match
+
+
 def test_ricci_closed_equals_trace_of_curvature(algs):
     for g in algs.values():
         p = F.lsa_from_symplectic(g)

@@ -5,7 +5,7 @@ import pytest
 from symprol.linalg import Matrix, Subspace, grassmann_check, rref
 from symprol.scalars import GScalar, ONE, rat
 
-from conftest import assert_same_typed_rows, random_rat
+from conftest import assert_same_typed_rows, random_rat, reference_solve
 
 
 def test_rank_identity_and_zero():
@@ -97,6 +97,16 @@ def test_solve():
     assert inconsistent.solve([rat(0), rat(1)]) is None
 
 
+def test_solve_many_keeps_each_verdict():
+    # rank one: only multiples of (1, 2) are consistent, and an inconsistent
+    # column between two others must not change their verdicts or values
+    m = Matrix([[rat(1), rat(1)], [rat(2), rat(2)]])
+    rhss = [[rat(0), rat(1)], [rat(1), rat(2)], [rat(0), rat(2)], [rat(3), rat(6)], [rat(1), rat(3)]]
+    assert m.solve_many(rhss) == [None, (rat(1), rat(0)), None, (rat(3), rat(0)), None]
+    assert m.solve_many([]) == []
+    assert Matrix([], ncols=3).solve_many([[], []]) == [(rat(0),) * 3] * 2
+
+
 def dense_rref(rows, ncols):
     """Reference: Gauss-Jordan updating every entry of every row."""
     m = [list(r) for r in rows]
@@ -162,3 +172,66 @@ def test_rref_matches_dense_reference(kinds):
         assert pivots == want_pivots
         assert_same_typed_rows(red, want_red)
         assert rows == snapshot
+
+
+def _random_system(rng, kinds):
+    """A matrix of 0-7 rows and 1-7 columns, often rank-deficient, and 0-5
+    right-hand sides, about half of them consistent by construction."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+    rows = [[_random_entry(rng, kinds) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        f = _random_entry(rng, kinds)
+        rows[-1] = [a + f * b for a, b in zip(rows[0], rows[1])]
+    m = Matrix(rows, ncols=ncols)
+    rhss = []
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.5:
+            rhss.append(list(m.apply([_random_entry(rng, kinds) for _ in range(ncols)])))
+        else:
+            rhss.append([_random_entry(rng, kinds) for _ in range(nrows)])
+    return m, rhss
+
+
+@pytest.mark.parametrize("kinds", [
+    ("zero", "gzero", "int", "rat", "real", "gauss"),
+    ("zero", "zero", "rat", "gauss"),
+    ("zero", "int", "rat"),
+    ("zero", "rat"),
+])
+def test_solve_many_matches_single_solves(kinds):
+    rng = random.Random(100 + len(kinds))
+    rational = not {"gzero", "real", "gauss"} & set(kinds)
+    seen = {"no rows": 0, "no rhs": 0, "two inconsistent": 0, "mixed verdicts": 0}
+    for _ in range(600):
+        m, rhss = _random_system(rng, kinds)
+        got = m.solve_many(rhss)
+        want = [reference_solve(m, b) for b in rhss]
+        assert len(got) == len(rhss)
+        for x, y in zip(got, want):
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x == y
+                if rational:
+                    assert [type(a) for a in x] == [type(a) for a in y]
+        seen["no rows"] += m.nrows == 0
+        seen["no rhs"] += not rhss
+        seen["two inconsistent"] += want.count(None) >= 2
+        seen["mixed verdicts"] += None in want and want.count(None) < len(want)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("kinds", [
+    ("zero", "gzero", "int", "rat", "real", "gauss"),
+    ("gzero", "rat"),
+    ("zero", "int", "rat"),
+])
+def test_trace_product_matches_product_trace(kinds):
+    rng = random.Random(200 + len(kinds))
+    for _ in range(400):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        a = Matrix([[_random_entry(rng, kinds) for _ in range(k)] for _ in range(n)])
+        b = Matrix([[_random_entry(rng, kinds) for _ in range(n)] for _ in range(k)])
+        got, want = a.trace_product(b), (a @ b).trace()
+        assert got == want and type(got) is type(want)
+    with pytest.raises(ValueError):
+        Matrix.identity(2).trace_product(Matrix.zero(2, 3))

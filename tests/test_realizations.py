@@ -258,6 +258,13 @@ def test_thmK2_invariance_error():
         build_thmK2("conf", tops=[(2, 2)])
 
 
+def test_invariance_error_prints_the_residue_as_a_polynomial():
+    # J sends x to y, so the residue of J(x) against span(x) is -y
+    with pytest.raises(InvarianceError) as exc:
+        build_thmK2("conf", xi_polys=[poly2({(1, 0): 1})])
+    assert str(exc.value) == "xi is not invariant: J applied to 1*x leaves the span (residue -1*y)"
+
+
 # -- degree-one cohomology ----------------------------------------------------
 
 def _h_module(t, h_txt, m_txt):

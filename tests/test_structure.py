@@ -3,10 +3,12 @@ import random
 import pytest
 
 from symprol.fedosov import corpus
-from symprol.linalg import basis_vector
-from symprol.scalars import GScalar, rat
+from symprol.linalg import Matrix, basis_vector
+from symprol.scalars import GScalar, ZERO, rat
 from symprol.structure import ClosureError, LieTable, tabulate
 from symprol.weyl import poisson_bracket
+
+from conftest import random_tensor, reference_solve
 
 
 def test_tabulate_and_jacobi(V, t):
@@ -23,6 +25,45 @@ def test_tabulate_closure_error(V, t):
     with pytest.raises(ClosureError) as exc:
         tabulate([t("p1^2"), t("q1^2")], poisson_bracket, lambda x: dict(x.coeffs))
     assert exc.value.pair == ("x1", "x2")
+
+
+def _reference_closure_pair(elements):
+    """Reference: solve each bracket on its own, in the order i < j, and
+    return the first pair outside the span (None if the span is closed)."""
+    n = len(elements)
+    dicts = [dict(e.coeffs) for e in elements]
+    brackets = {(i, j): dict(poisson_bracket(elements[i], elements[j]).coeffs)
+                for i in range(n) for j in range(i + 1, n)}
+    keys = sorted(set().union(*dicts, *brackets.values()))
+    B = Matrix([[d.get(k, ZERO) for d in dicts] for k in keys], ncols=n)
+    for (i, j), bd in brackets.items():
+        if reference_solve(B, [bd.get(k, ZERO) for k in keys]) is None:
+            return (f"x{i+1}", f"x{j+1}")
+    return None
+
+
+def test_tabulate_names_the_first_failing_pair(V, t):
+    rng = random.Random(7)
+    # sp(2) + b2 is closed; with p1*p2 for p2*q2 the first pair to leave is
+    # [q1^2, p1*p2], a multiple of q1*p2
+    sets = [[t("p1^2"), t("p1*q1"), t("q1^2"), t("p2^2"), t("p2*q2")],
+            [t("p1^2"), t("p1*q1"), t("q1^2"), t("p2^2"), t("p1*p2")]]
+    sets += [[random_tensor(rng, V, 2, terms=rng.randint(1, 2)) for _ in range(rng.randint(2, 5))]
+             for _ in range(80)]
+    failing, closed = [], 0
+    for elements in sets:
+        if Matrix.from_columns([e.coords(2) for e in elements]).rank() < len(elements):
+            continue
+        want = _reference_closure_pair(elements)
+        if want is None:
+            tabulate(elements, poisson_bracket, lambda x: dict(x.coeffs))
+            closed += 1
+            continue
+        with pytest.raises(ClosureError) as exc:
+            tabulate(elements, poisson_bracket, lambda x: dict(x.coeffs))
+        assert exc.value.pair == want
+        failing.append(want)
+    assert closed and len(failing) > 20 and len(set(failing)) > 3, (closed, failing)
 
 
 def test_tabulate_rejects_dependent_elements(V, t):
